@@ -79,6 +79,7 @@ import (
 	"time"
 
 	"sosr"
+	"sosr/internal/core"
 	"sosr/internal/obs"
 	"sosr/internal/shardmap"
 	"sosr/internal/store"
@@ -707,19 +708,11 @@ func cmdSync(args []string) {
 	}
 }
 
+// parseProtocolFlag maps a -protocol name to its value; unknown names mean
+// auto.
 func parseProtocolFlag(s string) sosr.Protocol {
-	switch s {
-	case "naive":
-		return sosr.ProtocolNaive
-	case "nested":
-		return sosr.ProtocolNested
-	case "cascade":
-		return sosr.ProtocolCascade
-	case "multiround":
-		return sosr.ProtocolMultiRound
-	default:
-		return sosr.ProtocolAuto
-	}
+	p, _ := core.ParseProtocol(s)
+	return sosr.Protocol(p)
 }
 
 func printStats(ns *sosrnet.NetStats) {

@@ -43,7 +43,7 @@ type Result3 struct {
 func ReconcileSetsOfSetsOfSets(alice, bob [][][]uint64, cfg Config3) (*Result3, error) {
 	p := core.Params3{G: cfg.MaxGroups, S: cfg.MaxChildSets, H: cfg.MaxChildSize}
 	if p.G <= 0 {
-		p.G = maxLen(len(alice), len(bob))
+		p.G = max(len(alice), len(bob), 1)
 	}
 	if p.S <= 0 {
 		for _, gp := range [][][][]uint64{alice, bob} {

@@ -104,14 +104,7 @@ func (b *DigestBuilder) Snapshot() []byte { return b.inner.Snapshot() }
 // it to EstimateDiffFromProbe and then builds a digest with the returned
 // bound (Theorem 3.4's two-message structure, split across machines).
 func BuildDiffProbe(bob [][]uint64, cfg Config) []byte {
-	p := core.Params{S: cfg.MaxChildSets, H: cfg.MaxChildSize, U: cfg.Universe}
-	if p.S <= 0 {
-		p.S = maxLen(len(bob), 1)
-	}
-	if p.H <= 0 {
-		p.H = maxChildLen(bob)
-	}
-	return core.BuildChildDiffProbe(hashing.NewCoins(cfg.Seed), bob, p)
+	return core.BuildChildDiffProbe(hashing.NewCoins(cfg.Seed), bob, shape(cfg, bob))
 }
 
 // EstimateDiffFromProbe merges Bob's probe with Alice's child-set hashes and
@@ -119,27 +112,14 @@ func BuildDiffProbe(bob [][]uint64, cfg Config) []byte {
 // Config.KnownChildDiff for a subsequent BuildDigest. Never fails: a garbled
 // probe degrades the bound to the worst case, not correctness.
 func EstimateDiffFromProbe(probe []byte, alice [][]uint64, cfg Config) int {
-	p := core.Params{S: cfg.MaxChildSets, H: cfg.MaxChildSize, U: cfg.Universe}
-	if p.S <= 0 {
-		p.S = maxLen(len(alice), 1)
-	}
-	if p.H <= 0 {
-		p.H = maxChildLen(alice)
-	}
-	return core.EstimateChildDiff(probe, hashing.NewCoins(cfg.Seed), alice, p)
+	return core.EstimateChildDiff(probe, hashing.NewCoins(cfg.Seed), alice, shape(cfg, alice))
 }
 
 func digestPlan(alice, bob [][]uint64, cfg Config) (core.DigestKind, core.Params, error) {
 	if cfg.KnownDiff <= 0 {
 		return 0, core.Params{}, fmt.Errorf("sosr: digests require KnownDiff > 0 (unknown-d protocols are interactive)")
 	}
-	p := core.Params{S: cfg.MaxChildSets, H: cfg.MaxChildSize, U: cfg.Universe}
-	if p.S <= 0 {
-		p.S = maxLen(len(alice), len(bob))
-	}
-	if p.H <= 0 {
-		p.H = maxChildLen(alice, bob)
-	}
+	p := shape(cfg, alice, bob)
 	switch cfg.Protocol {
 	case ProtocolNaive:
 		return core.DigestNaive, p, nil

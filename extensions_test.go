@@ -89,6 +89,32 @@ func TestReconcileSetsOfSetsTwoWay(t *testing.T) {
 			t.Fatalf("%v: rounds %d, one-way %d", proto, res.Stats.Rounds, oneWay.Stats.Rounds)
 		}
 	}
+	// The one-way leg is the session ReconcileSetsOfSets runs, resolved the
+	// same way: Auto with unknown d is multiround, and Replicas re-runs a
+	// failed first attempt. Alice sends nothing on the return leg, so her
+	// bytes match the one-way run exactly.
+	for _, cfg := range []Config{
+		{Seed: 3, MaxChildSets: 12, MaxChildSize: 16},
+		{Seed: 5, MaxChildSets: 12, MaxChildSize: 16, Protocol: ProtocolCascade, KnownDiff: 2, Replicas: 4},
+	} {
+		res, err := ReconcileSetsOfSetsTwoWay(alice, bob, cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		oneWay, err := ReconcileSetsOfSets(alice, bob, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Replicas > 0 && oneWay.Attempts < 2 {
+			t.Fatalf("%+v: first attempt succeeded; the case no longer exercises replication", cfg)
+		}
+		if res.Stats.Rounds != oneWay.Stats.Rounds+1 || res.Stats.AliceBytes != oneWay.Stats.AliceBytes {
+			t.Fatalf("%+v: two-way %+v, one-way %+v", cfg, res.Stats, oneWay.Stats)
+		}
+		if SetsOfSetsDistance(res.Union, append(append([][]uint64{}, alice...), res.ToAlice...)) != 0 {
+			t.Fatalf("%+v: union is not alice plus the return leg", cfg)
+		}
+	}
 }
 
 func TestReconcileSetsTwoWay(t *testing.T) {

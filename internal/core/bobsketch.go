@@ -131,34 +131,17 @@ func ApplyMsgCached(kind DigestKind, coins hashing.Coins, body []byte, bob [][]u
 	if dHat <= 0 {
 		dHat = DHat(d, p.S)
 	}
-	if sk == nil {
-		return ApplyMsg(kind, coins, body, bob, p, d, dHat)
+	if sk != nil {
+		var err error
+		if p, err = p.normalized(); err != nil {
+			return nil, err
+		}
+		if err := sk.check(kind, coins, p, d, dHat); err != nil {
+			return nil, err
+		}
+		if len(bob) != len(sk.bobHashes) {
+			return nil, fmt.Errorf("%w: Bob sketch parent size mismatch", ErrBadDigest)
+		}
 	}
-	np, err := p.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if err := sk.check(kind, coins, np, d, dHat); err != nil {
-		return nil, err
-	}
-	if len(bob) != len(sk.bobHashes) {
-		return nil, fmt.Errorf("%w: Bob sketch parent size mismatch", ErrBadDigest)
-	}
-	var res *Result
-	switch kind {
-	case DigestNaive:
-		res, err = naiveBob(coins, body, bob, newNaiveCodec(np), sk)
-	case DigestNested:
-		res, err = nestedBob(coins, body, bob, newChildCodec(coins, "nested/child", 0, iblt.CellsFor(d)), sk)
-	case DigestCascade:
-		res, err = cascadeBob(coins, newCascadePlan(coins, np, d), body, bob, sk)
-	default:
-		return nil, fmt.Errorf("%w: unknown kind %d", ErrBadDigest, kind)
-	}
-	if err != nil {
-		return nil, err
-	}
-	res.Attempts = 1
-	res.DUsed = d
-	return res, nil
+	return applyMsg(kind, coins, body, bob, p, d, sk)
 }

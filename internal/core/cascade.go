@@ -20,29 +20,9 @@ import (
 // from all later levels. When d ≥ h a final table T* of O(d/h) cells carries
 // full child-set encodings for the stragglers. One round,
 // O(d log min(d,h) log u + d log s) bits, success probability Ω(1)
-// (amplify with Replicated, or use CascadeUnknownD's verified doubling).
+// (amplify by replication, or use CascadeUnknownD's verified doubling).
 func CascadeKnownD(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p Params, d int) (*Result, error) {
-	p, err := p.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if d < 1 {
-		d = 1
-	}
-	plan := newCascadePlan(coins, p, d)
-
-	// --- Alice: build T_1..T_t (and T*), send all in one round. ---
-	msg := sess.Send(transport.Alice, "cascade-iblts", cascadeAliceMsg(plan, coins, alice))
-
-	// --- Bob ---
-	res, err := cascadeBob(coins, plan, msg, bob, nil)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = sess.Stats()
-	res.Attempts = 1
-	res.DUsed = d
-	return res, nil
+	return Reconcile(sess, coins, alice, bob, Plan{Protocol: ProtocolCascade, P: p, D: max(d, 1)})
 }
 
 // cascadePlan fixes every size and seed both parties derive from (coins, p, d).
@@ -366,9 +346,7 @@ func cascadeBob(coins hashing.Coins, plan *cascadePlan, msg []byte, bob [][]uint
 // CascadeUnknownD solves SSRU per Corollary 3.8: repeated doubling over d
 // with per-attempt coins and Bob acknowledgements (O(log d) rounds).
 func CascadeUnknownD(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p Params) (*Result, error) {
-	return doublingLoop(sess, coins, alice, bob, p, func(sess transport.Channel, att hashing.Coins, d int) (*Result, error) {
-		return CascadeKnownD(sess, att, alice, bob, p, d)
-	})
+	return Reconcile(sess, coins, alice, bob, Plan{Protocol: ProtocolCascade, P: p})
 }
 
 func appendFramed(dst, body []byte) []byte {

@@ -16,8 +16,9 @@
 //   - MultiRound (Theorems 3.9/3.10): three or four rounds, estimator-based
 //     pair matching, per-pair IBLT or characteristic-polynomial recovery.
 //
-// All cross-party data moves through transport.Session as serialized bytes;
-// the Stats on each Result are therefore honest measurements.
+// Each protocol runs as an Alice half and a Bob half (session.go) that
+// exchange only serialized frames, in process over a transport.Channel that
+// counts them or over TCP; the Stats on each Result are honest measurements.
 package core
 
 import (
@@ -75,8 +76,6 @@ type Result struct {
 	Stats transport.Stats
 	// Attempts counts protocol attempts (>1 for doubling/replication runs).
 	Attempts int
-	// DUsed is the difference bound the (final) successful attempt used.
-	DUsed int
 	// PeelIterations counts IBLT peel steps Bob performed (parent tables plus
 	// child-recovery subtractions) — a decode-effort signal for observability.
 	PeelIterations int

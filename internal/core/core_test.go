@@ -351,29 +351,60 @@ func TestBobHasExtraChild(t *testing.T) {
 	}
 }
 
-func TestReplicatedRecoversFromFlakyAttempts(t *testing.T) {
-	calls := 0
-	res, err := Replicated(transport.New(), hashing.NewCoins(1), 5, func(sess transport.Channel, coins hashing.Coins) (*Result, error) {
-		calls++
-		if calls < 3 {
+// flakyApply is a Bob apply hook whose first `fail` calls report a decode
+// failure; later calls decode for real.
+func flakyApply(bob [][]uint64, p Params, fail int, calls *int) func(DigestKind, hashing.Coins, []byte, int, int) (*Result, error) {
+	return func(kind DigestKind, coins hashing.Coins, body []byte, d, dHat int) (*Result, error) {
+		*calls++
+		if *calls <= fail {
 			return nil, ErrParentDecode
 		}
-		return &Result{}, nil
-	})
+		return ApplyMsg(kind, coins, body, bob, p, d, dHat)
+	}
+}
+
+// runFlaky runs a replicated naive session whose Bob fails his first `fail`
+// attempts.
+func runFlaky(t *testing.T, replicas, fail int) (*Result, int, error) {
+	t.Helper()
+	p := Params{S: 16, H: 16, U: testU}
+	alice, bob := makeInstance(5, p.S, 12, p.U, 4)
+	pl, err := ResolvePlan(Plan{Protocol: ProtocolNaive, P: p, D: 4, Replicas: replicas}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", res.Attempts)
+	calls := 0
+	coins := hashing.NewCoins(1)
+	res, err := runPair(transport.New(),
+		func(peer Peer) error { _, err := Alice(peer, coins, alice, pl, AliceOpts{}); return err },
+		func(peer Peer) (*Result, error) {
+			return Bob(peer, coins, bob, pl, BobOpts{Apply: flakyApply(bob, pl.P, fail, &calls)})
+		})
+	if err == nil {
+		checkRecovered(t, res, alice)
+	}
+	return res, calls, err
+}
+
+func TestReplicatedRecoversFromFlakyAttempts(t *testing.T) {
+	res, calls, err := runFlaky(t, 5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Attempts != 3 || calls != 3 {
+		t.Fatalf("attempts = %d (apply calls %d), want 3", res.Attempts, calls)
+	}
+	// Failed replicas re-send Alice's payload; the retry requests between
+	// them are control frames and are not counted.
+	if res.Stats.Messages != 3 || res.Stats.Rounds != 1 {
+		t.Fatalf("stats %+v, want 3 Alice messages in one round", res.Stats)
 	}
 }
 
 func TestReplicatedGivesUp(t *testing.T) {
-	_, err := Replicated(transport.New(), hashing.NewCoins(1), 2, func(sess transport.Channel, coins hashing.Coins) (*Result, error) {
-		return nil, ErrVerify
-	})
-	if !errors.Is(err, ErrGaveUp) {
-		t.Fatalf("err = %v", err)
+	_, calls, err := runFlaky(t, 2, 99)
+	if !errors.Is(err, ErrGaveUp) || calls != 2 {
+		t.Fatalf("err = %v after %d attempts", err, calls)
 	}
 }
 

@@ -116,15 +116,21 @@ func AliceMsg(kind DigestKind, coins hashing.Coins, alice [][]uint64, p Params, 
 // (coins, p, d, dHat). The Result carries zero Stats; the caller owns
 // communication accounting.
 func ApplyMsg(kind DigestKind, coins hashing.Coins, body []byte, bob [][]uint64, p Params, d, dHat int) (*Result, error) {
+	return applyMsg(kind, coins, body, bob, p, d, nil)
+}
+
+// applyMsg is ApplyMsg with Bob's parent-level aggregates taken from sk when
+// it is not nil (see ApplyMsgCached).
+func applyMsg(kind DigestKind, coins hashing.Coins, body []byte, bob [][]uint64, p Params, d int, sk *BobSketch) (*Result, error) {
 	var res *Result
 	var err error
 	switch kind {
 	case DigestNaive:
-		res, err = naiveBob(coins, body, bob, newNaiveCodec(p), nil)
+		res, err = naiveBob(coins, body, bob, newNaiveCodec(p), sk)
 	case DigestNested:
-		res, err = nestedBob(coins, body, bob, newChildCodec(coins, "nested/child", 0, iblt.CellsFor(d)), nil)
+		res, err = nestedBob(coins, body, bob, newChildCodec(coins, "nested/child", 0, iblt.CellsFor(d)), sk)
 	case DigestCascade:
-		res, err = cascadeBob(coins, newCascadePlan(coins, p, d), body, bob, nil)
+		res, err = cascadeBob(coins, newCascadePlan(coins, p, d), body, bob, sk)
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrBadDigest, kind)
 	}
@@ -132,7 +138,6 @@ func ApplyMsg(kind DigestKind, coins hashing.Coins, body []byte, bob [][]uint64,
 		return nil, err
 	}
 	res.Attempts = 1
-	res.DUsed = d
 	return res, nil
 }
 

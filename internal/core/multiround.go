@@ -32,14 +32,7 @@ import (
 // functions, so split-party deployments (sosrnet) exchange exactly the bytes
 // the in-process run records.
 func MultiRoundKnownD(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p Params, d int) (*Result, error) {
-	p, err := p.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if d < 1 {
-		d = 1
-	}
-	return multiRound(sess, coins, alice, bob, p, d, DHat(d, p.S))
+	return Reconcile(sess, coins, alice, bob, Plan{Protocol: ProtocolMultiRound, P: p, D: max(d, 1)})
 }
 
 // MultiRoundUnknownD solves SSRU (Theorem 3.10) in four rounds: Bob first
@@ -48,15 +41,9 @@ func MultiRoundKnownD(sess transport.Channel, coins hashing.Coins, alice, bob []
 // differences are bounded by the round-2 estimators, so no global d is
 // needed.
 func MultiRoundUnknownD(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p Params) (*Result, error) {
-	p, err := p.normalized()
-	if err != nil {
-		return nil, err
-	}
-	dHat := estimateChildDiff(sess, coins, alice, bob, p)
-	// The total-difference bound is only used for the √d routing threshold
-	// and per-pair sizing, both of which re-derive from round-2 estimators;
-	// pass a generous cap.
-	return multiRound(sess, coins, alice, bob, p, 0, dHat)
+	// With no total-difference bound, MRAlice3 derives the √d routing
+	// threshold from the round-2 estimators.
+	return Reconcile(sess, coins, alice, bob, Plan{Protocol: ProtocolMultiRound, P: p})
 }
 
 // estParamsFor returns the per-child-set estimator parameters (differences
@@ -347,28 +334,4 @@ func MRBobFinish(coins hashing.Coins, bob [][]uint64, st *MRBobState, msg3 []byt
 		Added:     sortSets(dA),
 		Removed:   sortSets(st.DB),
 	}, nil
-}
-
-// multiRound composes the MR* steps over the channel (the co-simulated
-// deployment of Theorems 3.9/3.10).
-func multiRound(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p Params, dTotal, dHat int) (*Result, error) {
-	msg1 := sess.Send(transport.Alice, "hash-iblt", MRAlice1(coins, alice, dHat))
-	round2, st, err := MRBob2(coins, bob, p, msg1)
-	if err != nil {
-		return nil, err
-	}
-	msg2 := sess.Send(transport.Bob, "hash-iblt+estimators", round2)
-	round3, dUsed, err := MRAlice3(coins, alice, p, dTotal, msg2)
-	if err != nil {
-		return nil, err
-	}
-	msg3 := sess.Send(transport.Alice, "pair-payloads", round3)
-	res, err := MRBobFinish(coins, bob, st, msg3)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = sess.Stats()
-	res.Attempts = 1
-	res.DUsed = dUsed
-	return res, nil
 }

@@ -17,25 +17,8 @@ import (
 // vector-keyed IBLT of O(d̂) cells. One round, O(d̂ · min(h log u, u)) bits,
 // O(n) time, success probability 1 - 1/poly(d̂).
 func NaiveKnownD(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p Params, dHat int) (*Result, error) {
-	p, err := p.normalized()
-	if err != nil {
-		return nil, err
-	}
-	codec := newNaiveCodec(p)
-
-	// --- Alice --- (the table holds the full symmetric difference, up to
-	// 2·d̂ encodings; see naiveAliceMsg)
-	msg := sess.Send(transport.Alice, "naive-iblt", naiveAliceMsg(coins, alice, p, dHat))
-
-	// --- Bob ---
-	res, err := naiveBob(coins, msg, bob, codec, nil)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = sess.Stats()
-	res.Attempts = 1
-	res.DUsed = dHat
-	return res, nil
+	// Any known d selects the one-shot path; the table is sized by d̂ alone.
+	return Reconcile(sess, coins, alice, bob, Plan{Protocol: ProtocolNaive, P: p, D: 1, DHat: dHat})
 }
 
 func naiveBob(coins hashing.Coins, msg []byte, bob [][]uint64, codec naiveCodec, sk *BobSketch) (*Result, error) {
@@ -100,25 +83,7 @@ func naiveBob(coins hashing.Coins, msg []byte, bob [][]uint64, codec naiveCodec,
 // estimate (scaled for safety) as d̂ and runs the Theorem 3.3 protocol. Two
 // rounds.
 func NaiveUnknownD(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p Params) (*Result, error) {
-	p, err := p.normalized()
-	if err != nil {
-		return nil, err
-	}
-	dHat := estimateChildDiff(sess, coins, alice, bob, p)
-	res, err := NaiveKnownD(sess, coins, alice, bob, p, dHat)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = sess.Stats()
-	return res, nil
-}
-
-// estimateChildDiff runs the shared round-0 exchange: Bob sends an estimator
-// over his child-set hashes; Alice merges her own and returns a safe bound
-// on the number of differing child sets.
-func estimateChildDiff(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p Params) int {
-	msg := sess.Send(transport.Bob, "childdiff-estimator", BuildChildDiffProbe(coins, bob, p))
-	return EstimateChildDiff(msg, coins, alice, p)
+	return Reconcile(sess, coins, alice, bob, Plan{Protocol: ProtocolNaive, P: p})
 }
 
 // BuildChildDiffProbe is Bob's half of the unknown-d̂ estimation: a

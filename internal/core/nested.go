@@ -19,25 +19,7 @@ import (
 // d bounds the total element differences; dHat the number of differing child
 // sets (pass DHat(d, p.S) when no better bound is known).
 func NestedKnownD(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p Params, d, dHat int) (*Result, error) {
-	p, err := p.normalized()
-	if err != nil {
-		return nil, err
-	}
-	codec := newChildCodec(coins, "nested/child", 0, iblt.CellsFor(d))
-
-	// --- Alice: build EA, insert into a parent holding the full encoding
-	// symmetric difference |EA ⊕ EB| ≤ 2·d̂, send (see nestedAliceMsg). ---
-	msg := sess.Send(transport.Alice, "nested-iblt", nestedAliceMsg(coins, alice, p, d, dHat))
-
-	// --- Bob ---
-	res, err := nestedBob(coins, msg, bob, codec, nil)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = sess.Stats()
-	res.Attempts = 1
-	res.DUsed = d
-	return res, nil
+	return Reconcile(sess, coins, alice, bob, Plan{Protocol: ProtocolNested, P: p, D: max(d, 1), DHat: dHat})
 }
 
 func nestedBob(coins hashing.Coins, msg []byte, bob [][]uint64, codec childCodec, sk *BobSketch) (*Result, error) {
@@ -125,64 +107,5 @@ func nestedBob(coins hashing.Coins, msg []byte, bob [][]uint64, codec childCodec
 // verifies Alice's parent hash; Bob acknowledges each attempt, giving the
 // O(log d) rounds of the corollary.
 func NestedUnknownD(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p Params) (*Result, error) {
-	return doublingLoop(sess, coins, alice, bob, p, func(sess transport.Channel, att hashing.Coins, d int) (*Result, error) {
-		return NestedKnownD(sess, att, alice, bob, p, d, DHat(d, p.S))
-	})
-}
-
-// maxDoublingAttempts caps the doubling loops; 2^31 differences is far past
-// any representable instance.
-const maxDoublingAttempts = 31
-
-// doublingLoop implements the paper's "standard repeated doubling trick"
-// shared by Corollaries 3.6 and 3.8: run the known-d protocol at d = 2^k
-// with per-attempt coins until it succeeds, with Bob acknowledging each
-// attempt so the rounds are counted honestly.
-func doublingLoop(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, p Params,
-	attempt func(sess transport.Channel, coins hashing.Coins, d int) (*Result, error)) (*Result, error) {
-	var lastErr error
-	for k := 0; k < maxDoublingAttempts; k++ {
-		d := 1 << k
-		attCoins := coins.Sub("doubling-attempt", k)
-		res, err := attempt(sess, attCoins, d)
-		if err == nil {
-			sess.Send(transport.Bob, "ack", []byte{1})
-			res.Stats = sess.Stats()
-			res.Attempts = k + 1
-			res.DUsed = d
-			return res, nil
-		}
-		lastErr = err
-		sess.Send(transport.Bob, "retry", []byte{0})
-		if tooBig := d > 4*p.S*p.H; tooBig {
-			break
-		}
-	}
-	return nil, fmt.Errorf("%w: %v", ErrGaveUp, lastErr)
-}
-
-// Replicated amplifies any known-d protocol's success probability by
-// replication (§3.2): the protocol is retried with fresh coins until Bob's
-// recovered parent set matches Alice's hash, at most `replicas` times. All
-// attempts' communication accumulates in sess. The paper's replication is
-// parallel ("run the protocol many times in parallel"), which matches the
-// session's round accounting (consecutive same-sender messages share a
-// round); running lazily with early stop makes the recorded bytes a lower
-// bound on the parallel variant's.
-func Replicated(sess transport.Channel, coins hashing.Coins, replicas int,
-	attempt func(sess transport.Channel, coins hashing.Coins) (*Result, error)) (*Result, error) {
-	if replicas < 1 {
-		replicas = 1
-	}
-	var lastErr error
-	for r := 0; r < replicas; r++ {
-		res, err := attempt(sess, coins.Sub("replica", r))
-		if err == nil {
-			res.Stats = sess.Stats()
-			res.Attempts = r + 1
-			return res, nil
-		}
-		lastErr = err
-	}
-	return nil, fmt.Errorf("%w: %v", ErrGaveUp, lastErr)
+	return Reconcile(sess, coins, alice, bob, Plan{Protocol: ProtocolNested, P: p})
 }

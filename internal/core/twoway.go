@@ -32,14 +32,11 @@ type TwoWayResult struct {
 	OneWay *Result
 }
 
-// OneWayProtocol abstracts the underlying one-way run for TwoWay.
-type OneWayProtocol func(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64) (*Result, error)
-
-// TwoWay runs a mutual reconciliation on top of the given one-way protocol:
+// TwoWay runs a mutual reconciliation on top of the one-way session pl:
 // both parties end holding alice ∪ bob (as sets of child sets). One extra
 // round (Bob → Alice) carrying the child sets Alice lacks.
-func TwoWay(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, oneWay OneWayProtocol) (*TwoWayResult, error) {
-	res, err := oneWay(sess, coins, alice, bob)
+func TwoWay(sess transport.Channel, coins hashing.Coins, alice, bob [][]uint64, pl Plan) (*TwoWayResult, error) {
+	res, err := Reconcile(sess, coins, alice, bob, pl)
 	if err != nil {
 		return nil, err
 	}

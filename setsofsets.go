@@ -1,14 +1,13 @@
 package sosr
 
 import (
-	"fmt"
-
 	"sosr/internal/core"
 	"sosr/internal/hashing"
 	"sosr/internal/transport"
 )
 
 // Protocol selects a sets-of-sets reconciliation algorithm (§3, Table 1).
+// The values match internal/core's.
 type Protocol int
 
 // The four protocol families of the paper.
@@ -31,21 +30,7 @@ const (
 )
 
 // String names the protocol.
-func (p Protocol) String() string {
-	switch p {
-	case ProtocolAuto:
-		return "auto"
-	case ProtocolNaive:
-		return "naive"
-	case ProtocolNested:
-		return "nested"
-	case ProtocolCascade:
-		return "cascade"
-	case ProtocolMultiRound:
-		return "multiround"
-	}
-	return fmt.Sprintf("protocol(%d)", int(p))
-}
+func (p Protocol) String() string { return core.Protocol(p).String() }
 
 // Config configures sets-of-sets reconciliation. MaxChildSets (s) and
 // MaxChildSize (h) describe the instance shape both parties agree on.
@@ -97,79 +82,11 @@ type Result struct {
 // argument) recovers Alice's parent set of child sets. Child sets may be
 // passed unsorted; each must be duplicate-free within the parent.
 func ReconcileSetsOfSets(alice, bob [][]uint64, cfg Config) (*Result, error) {
-	p := core.Params{S: cfg.MaxChildSets, H: cfg.MaxChildSize, U: cfg.Universe}
-	if p.S <= 0 {
-		p.S = maxLen(len(alice), len(bob))
+	pl, err := resolveSOS(alice, bob, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if p.H <= 0 {
-		p.H = maxChildLen(alice, bob)
-	}
-	if cfg.Validate {
-		if err := core.Validate(alice, p); err != nil {
-			return nil, err
-		}
-		if err := core.Validate(bob, p); err != nil {
-			return nil, err
-		}
-	}
-	coins := hashing.NewCoins(cfg.Seed)
-	proto := cfg.Protocol
-	if proto == ProtocolAuto {
-		if cfg.KnownDiff > 0 {
-			proto = ProtocolCascade
-		} else {
-			proto = ProtocolMultiRound
-		}
-	}
-	replicas := cfg.Replicas
-	if replicas <= 0 {
-		replicas = 3
-	}
-	d := cfg.KnownDiff
-	dHat := cfg.KnownChildDiff
-	if dHat <= 0 {
-		dHat = core.DHat(maxInt(d, 1), p.S)
-	}
-
-	sess := transport.New()
-	var res *core.Result
-	var err error
-	switch proto {
-	case ProtocolNaive:
-		if d > 0 {
-			res, err = core.Replicated(sess, coins, replicas, func(sess transport.Channel, c hashing.Coins) (*core.Result, error) {
-				return core.NaiveKnownD(sess, c, alice, bob, p, dHat)
-			})
-		} else {
-			res, err = core.NaiveUnknownD(sess, coins, alice, bob, p)
-		}
-	case ProtocolNested:
-		if d > 0 {
-			res, err = core.Replicated(sess, coins, replicas, func(sess transport.Channel, c hashing.Coins) (*core.Result, error) {
-				return core.NestedKnownD(sess, c, alice, bob, p, d, dHat)
-			})
-		} else {
-			res, err = core.NestedUnknownD(sess, coins, alice, bob, p)
-		}
-	case ProtocolCascade:
-		if d > 0 {
-			res, err = core.Replicated(sess, coins, replicas, func(sess transport.Channel, c hashing.Coins) (*core.Result, error) {
-				return core.CascadeKnownD(sess, c, alice, bob, p, d)
-			})
-		} else {
-			res, err = core.CascadeUnknownD(sess, coins, alice, bob, p)
-		}
-	case ProtocolMultiRound:
-		if d > 0 {
-			res, err = core.Replicated(sess, coins, replicas, func(sess transport.Channel, c hashing.Coins) (*core.Result, error) {
-				return core.MultiRoundKnownD(sess, c, alice, bob, p, d)
-			})
-		} else {
-			res, err = core.MultiRoundUnknownD(sess, coins, alice, bob, p)
-		}
-	default:
-		return nil, fmt.Errorf("sosr: unknown protocol %v", proto)
-	}
+	res, err := core.Reconcile(transport.New(), hashing.NewCoins(cfg.Seed), alice, bob, pl)
 	if err != nil {
 		return nil, err
 	}
@@ -179,8 +96,29 @@ func ReconcileSetsOfSets(alice, bob [][]uint64, cfg Config) (*Result, error) {
 		Removed:   res.Removed,
 		Stats:     statsFrom(res.Stats),
 		Attempts:  res.Attempts,
-		Protocol:  proto,
+		Protocol:  Protocol(pl.Protocol),
 	}, nil
+}
+
+// resolveSOS fixes cfg's session plan — by the rules a sosrnet server
+// applies to a hello — and validates both parents when cfg asks.
+func resolveSOS(alice, bob [][]uint64, cfg Config) (core.Plan, error) {
+	pl, err := core.ResolvePlan(core.Plan{
+		Protocol: core.Protocol(cfg.Protocol), P: shape(cfg, alice, bob),
+		D: cfg.KnownDiff, DHat: cfg.KnownChildDiff, Replicas: cfg.Replicas,
+	}, 0, 0)
+	if err != nil {
+		return pl, err
+	}
+	if cfg.Validate {
+		if err := core.Validate(alice, pl.P); err != nil {
+			return pl, err
+		}
+		if err := core.Validate(bob, pl.P); err != nil {
+			return pl, err
+		}
+	}
+	return pl, nil
 }
 
 // SetsOfSetsDistance computes the paper's ground-truth d between two parent
@@ -188,14 +126,20 @@ func ReconcileSetsOfSets(alice, bob [][]uint64, cfg Config) (*Result, error) {
 // (§3.1). Local computation, O(s³) — for sizing, testing and experiments.
 func SetsOfSetsDistance(a, b [][]uint64) int { return core.Distance(a, b) }
 
-func maxLen(a, b int) int {
-	if a > b {
-		return a
+// shape is cfg's instance shape, with an unset S or H derived from the
+// parents' sizes.
+func shape(cfg Config, parents ...[][]uint64) core.Params {
+	p := core.Params{S: cfg.MaxChildSets, H: cfg.MaxChildSize, U: cfg.Universe}
+	if p.S <= 0 {
+		p.S = 1
+		for _, ps := range parents {
+			p.S = max(p.S, len(ps))
+		}
 	}
-	if b < 1 {
-		return 1
+	if p.H <= 0 {
+		p.H = maxChildLen(parents...)
 	}
-	return b
+	return p
 }
 
 func maxChildLen(ps ...[][]uint64) int {
@@ -208,11 +152,4 @@ func maxChildLen(ps ...[][]uint64) int {
 		}
 	}
 	return m
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -138,23 +138,10 @@ func (s *Server) cachedFrames(view dsView, proto string, seed uint64, d int, ext
 	return frames, err
 }
 
-// sosProtoName maps a digest kind to its cache-key protocol name.
-func sosProtoName(kind core.DigestKind) string {
-	switch kind {
-	case core.DigestNaive:
-		return "naive"
-	case core.DigestNested:
-		return "nested"
-	case core.DigestCascade:
-		return "cascade"
-	}
-	return fmt.Sprintf("kind-%d", kind)
-}
-
 // sosAliceMsg returns the one-round sets-of-sets payload for the session's
 // snapshot, memoized and incrementally maintained.
 func (s *Server) sosAliceMsg(view dsView, kind core.DigestKind, coins hashing.Coins, p core.Params, d, dHat int, tr *sessTrace) ([]byte, error) {
-	proto := sosProtoName(kind)
+	proto := kind.String()
 	built := false
 	timed := func(run func() ([]byte, error)) ([]byte, error) {
 		built = true

@@ -384,209 +384,34 @@ func (c *Client) setsOfSets(ctx context.Context, name string, local [][]uint64, 
 			return nil, nil, err
 		}
 	}
-	coins := hashing.NewCoins(cfg.Seed)
+	proto, ok := core.ParseProtocol(acc.Protocol)
+	if !ok || proto == core.ProtocolAuto {
+		return nil, nil, fmt.Errorf("%w: server resolved protocol %q", ErrUnsupported, acc.Protocol)
+	}
+	pl := core.Plan{Protocol: proto, P: p, D: acc.D, DHat: acc.DHat, Replicas: acc.Replicas}
 	ap := c.newSOSApply(name, bob, p)
 	ap.sp = sp
-	var res *core.Result
-	var attempts int
-	switch acc.Protocol {
-	case "naive":
-		if acc.D > 0 {
-			res, attempts, err = ap.replicatedOneShot(ep, coins, acc, core.DigestNaive, "naive-iblt")
-		} else {
-			if err = ep.SendFrame("childdiff-estimator", core.BuildChildDiffProbe(coins, bob, p)); err != nil {
-				return nil, nil, err
-			}
-			res, attempts, err = ap.oneShot(ep, coins, 1, 0, core.DigestNaive, "naive-iblt")
-		}
-	case "nested":
-		if acc.D > 0 {
-			res, attempts, err = ap.replicatedOneShot(ep, coins, acc, core.DigestNested, "nested-iblt")
-		} else {
-			res, attempts, err = ap.doubling(ep, coins, core.DigestNested, "nested-iblt")
-		}
-	case "cascade":
-		if acc.D > 0 {
-			res, attempts, err = ap.replicatedOneShot(ep, coins, acc, core.DigestCascade, "cascade-iblts")
-		} else {
-			res, attempts, err = ap.doubling(ep, coins, core.DigestCascade, "cascade-iblts")
-		}
-	case "multiround":
-		res, attempts, err = ap.multiRound(ep, coins, acc)
-	default:
-		err = fmt.Errorf("%w: server resolved protocol %q", ErrUnsupported, acc.Protocol)
-	}
+	res, err := core.Bob(serverPeer{ep}, hashing.NewCoins(cfg.Seed), bob, pl, core.BobOpts{Apply: ap.apply, Finished: ap.finished})
 	if err != nil {
+		// A failed decode is reported to the server; a broken link or a
+		// server error ends the session as it is.
+		var fe *core.FailedError
+		if errors.As(err, &fe) {
+			err = netErr(fe.Err)
+			sendDone(ep, false, err, fe.Attempts)
+		}
 		return nil, nil, err
 	}
-	ns := netStats(ep, attempts)
+	sendDone(ep, true, nil, res.Attempts)
+	ns := netStats(ep, res.Attempts)
 	return &sosr.Result{
 		Recovered: res.Recovered,
 		Added:     res.Added,
 		Removed:   res.Removed,
 		Stats:     ns.Protocol,
-		Attempts:  attempts,
-		Protocol:  parseProtocol(acc.Protocol),
+		Attempts:  res.Attempts,
+		Protocol:  sosr.Protocol(proto),
 	}, ns, nil
-}
-
-func parseProtocol(s string) sosr.Protocol {
-	switch s {
-	case "naive":
-		return sosr.ProtocolNaive
-	case "nested":
-		return sosr.ProtocolNested
-	case "cascade":
-		return sosr.ProtocolCascade
-	case "multiround":
-		return sosr.ProtocolMultiRound
-	}
-	return sosr.ProtocolAuto
-}
-
-// oneShot consumes a single one-round payload. It stays on the uncached
-// apply path: the naive unknown-d flow reaches here, where the server derives
-// dHat from the probe — the client cannot key a sketch on a bound it never
-// learns. Peel metrics are still observed.
-func (a *sosApply) oneShot(ep *wire.Endpoint, coins hashing.Coins, d, dHat int, kind core.DigestKind, label string) (*core.Result, int, error) {
-	body, err := recvOrServerError(ep, label)
-	if err != nil {
-		return nil, 0, err
-	}
-	dsp := a.sp.Child("decode")
-	dsp.SetInt("d", int64(d))
-	res, err := core.ApplyMsg(kind, coins, body, a.bob, a.p, d, dHat)
-	dsp.SetBool("ok", err == nil)
-	dsp.Finish()
-	if err != nil {
-		sendDone(ep, false, err, 1)
-		return nil, 0, err
-	}
-	a.c.observePeels(res.PeelIterations)
-	sendDone(ep, true, nil, 1)
-	return res, 1, nil
-}
-
-// replicatedOneShot mirrors core.Replicated: up to Replicas attempts with
-// fresh per-attempt coins, requesting each retry with a control frame. Each
-// attempt subtracts the cached Bob sketch for its derived coins.
-func (a *sosApply) replicatedOneShot(ep *wire.Endpoint, coins hashing.Coins, acc *acceptMsg, kind core.DigestKind, label string) (*core.Result, int, error) {
-	var lastErr error
-	for r := 0; r < acc.Replicas; r++ {
-		body, err := recvOrServerError(ep, label)
-		if err != nil {
-			return nil, 0, err
-		}
-		res, err := a.apply(coins.Sub("replica", r), body, kind, acc.D, acc.DHat)
-		if err == nil {
-			sendDone(ep, true, nil, r+1)
-			return res, r + 1, nil
-		}
-		lastErr = err
-		if r+1 < acc.Replicas {
-			if err := ep.SendFrame(lblRetry, nil); err != nil {
-				return nil, 0, err
-			}
-		}
-	}
-	err := fmt.Errorf("%w: %v", ErrGaveUp, lastErr)
-	sendDone(ep, false, err, acc.Replicas)
-	return nil, 0, err
-}
-
-// doubling mirrors core's doublingLoop: attempt k applies the d = 2^k
-// payload, answering with the protocol "ack"/"retry" frames the in-process
-// run records. Each attempt's (coins, d, dHat) triple keys its own cached
-// sketch.
-func (a *sosApply) doubling(ep *wire.Endpoint, coins hashing.Coins, kind core.DigestKind, label string) (*core.Result, int, error) {
-	var lastErr error
-	for k := 0; k < maxDoublingAttempts; k++ {
-		d := 1 << k
-		body, err := recvOrServerError(ep, label)
-		if err != nil {
-			if lastErr != nil {
-				return nil, 0, fmt.Errorf("%w (last attempt: %v)", err, lastErr)
-			}
-			return nil, 0, err
-		}
-		res, err := a.apply(coins.Sub("doubling-attempt", k), body, kind, d, core.DHat(d, a.p.S))
-		if err == nil {
-			if err := ep.SendFrame("ack", []byte{1}); err != nil {
-				return nil, 0, err
-			}
-			sendDone(ep, true, nil, k+1)
-			return res, k + 1, nil
-		}
-		lastErr = err
-		if err := ep.SendFrame("retry", []byte{0}); err != nil {
-			return nil, 0, err
-		}
-	}
-	return nil, 0, fmt.Errorf("%w: %v", ErrGaveUp, lastErr)
-}
-
-// multiRound mirrors the Theorem 3.9/3.10 client side, with the §3.2
-// replication loop when d is known. Multi-round payloads depend on
-// interactive per-session state, so this path is uncached; peel metrics are
-// still observed.
-func (a *sosApply) multiRound(ep *wire.Endpoint, coins hashing.Coins, acc *acceptMsg) (*core.Result, int, error) {
-	bob, p := a.bob, a.p
-	attempts := acc.Replicas
-	if acc.D <= 0 {
-		attempts = 1
-		if err := ep.SendFrame("childdiff-estimator", core.BuildChildDiffProbe(coins, bob, p)); err != nil {
-			return nil, 0, err
-		}
-	}
-	var lastErr error
-	for r := 0; r < attempts; r++ {
-		c := coins
-		if acc.D > 0 {
-			c = coins.Sub("replica", r)
-		}
-		retryOrFail := func(cause error) error {
-			lastErr = cause
-			if r+1 < attempts {
-				return ep.SendFrame(lblRetry, nil)
-			}
-			err := fmt.Errorf("%w: %v", ErrGaveUp, cause)
-			sendDone(ep, false, err, attempts)
-			return nil
-		}
-		msg1, err := recvOrServerError(ep, "hash-iblt")
-		if err != nil {
-			return nil, 0, err
-		}
-		round2, st, err := core.MRBob2(c, bob, p, msg1)
-		if err != nil {
-			if ferr := retryOrFail(err); ferr != nil {
-				return nil, 0, ferr
-			}
-			continue
-		}
-		if err := ep.SendFrame("hash-iblt+estimators", round2); err != nil {
-			return nil, 0, err
-		}
-		msg3, err := recvOrServerError(ep, "pair-payloads")
-		if err != nil {
-			return nil, 0, err
-		}
-		dsp := a.sp.Child("decode")
-		dsp.SetInt("round", int64(r+1))
-		res, err := core.MRBobFinish(c, bob, st, msg3)
-		dsp.SetBool("ok", err == nil)
-		dsp.Finish()
-		if err != nil {
-			if ferr := retryOrFail(err); ferr != nil {
-				return nil, 0, ferr
-			}
-			continue
-		}
-		a.c.observePeels(res.PeelIterations)
-		sendDone(ep, true, nil, r+1)
-		return res, r + 1, nil
-	}
-	return nil, 0, fmt.Errorf("%w: %v", ErrGaveUp, lastErr)
 }
 
 // Graph reconciles a local graph against the hosted graph `name`: the client

@@ -2,6 +2,7 @@ package sosrnet
 
 import (
 	"fmt"
+	"time"
 
 	"sosr/internal/core"
 	"sosr/internal/enccache"
@@ -56,16 +57,21 @@ func (c *Client) newSOSApply(name string, bob [][]uint64, p core.Params) *sosApp
 	return &sosApply{c: c, name: name, bob: bob, p: p, fp: orderedFP(bob)}
 }
 
-// apply runs one cached Bob step: look up (or build) the sketch for this
-// exact decode shape and subtract it instead of re-encoding the local data.
-// An attempt that fails to decode is an expected protocol outcome (it drives
-// the replication/doubling retry loops), so the decode span records ok=false
+// apply is Bob's apply hook: look up (or build) the sketch for this exact
+// decode shape and subtract it instead of re-encoding the local data. With no
+// d̂ (naive unknown-d, where the server derives it from the probe) there is
+// no bound to key a sketch on, so the decode runs uncached. An attempt that
+// fails to decode is an expected protocol outcome (it drives the
+// replication/doubling retry loops), so the decode span records ok=false
 // rather than a span error — only genuinely broken sessions flag traces.
-func (a *sosApply) apply(coins hashing.Coins, body []byte, kind core.DigestKind, d, dHat int) (*core.Result, error) {
+func (a *sosApply) apply(kind core.DigestKind, coins hashing.Coins, body []byte, d, dHat int) (*core.Result, error) {
 	dsp := a.sp.Child("decode")
 	dsp.SetInt("d", int64(d))
-	dsp.SetInt("dhat", int64(dHat))
-	sk := a.sketch(kind, coins, d, dHat)
+	var sk *core.BobSketch
+	if dHat > 0 {
+		dsp.SetInt("dhat", int64(dHat))
+		sk = a.sketch(kind, coins, d, dHat)
+	}
 	res, err := core.ApplyMsgCached(kind, coins, body, a.bob, a.p, d, dHat, sk)
 	if err == nil {
 		a.c.observePeels(res.PeelIterations)
@@ -74,6 +80,19 @@ func (a *sosApply) apply(coins hashing.Coins, body []byte, kind core.DigestKind,
 	dsp.SetBool("ok", err == nil)
 	dsp.Finish()
 	return res, err
+}
+
+// finished is Bob's multiround hook: multiround payloads depend on
+// interactive per-session state, so the final step runs uncached; its decode
+// span and peel metrics are still recorded.
+func (a *sosApply) finished(start time.Time, attempt int, res *core.Result, err error) {
+	dsp := a.sp.ChildAt("decode", start)
+	dsp.SetInt("round", int64(attempt))
+	dsp.SetBool("ok", err == nil)
+	dsp.Finish()
+	if err == nil {
+		a.c.observePeels(res.PeelIterations)
+	}
 }
 
 // sketch returns the Bob sketch for this decode shape, or nil when caching is
@@ -89,7 +108,7 @@ func (a *sosApply) sketch(kind core.DigestKind, coins hashing.Coins, d, dHat int
 		return nil
 	}
 	k := enccache.Key{
-		Dataset: a.name, Proto: "bob/" + sosProtoName(kind), Seed: coins.Master(),
+		Dataset: a.name, Proto: "bob/" + kind.String(), Seed: coins.Master(),
 		S: a.p.S, H: a.p.H, U: a.p.U, D: d, DHat: dHat,
 		Extra: fmt.Sprintf("fp=%016x,n=%d", a.fp, len(a.bob)),
 	}

@@ -33,10 +33,10 @@ type serverMetrics struct {
 	stage    *obs.HistogramVec
 	active   *obs.Gauge
 
-	// boundRatio audits the paper's O(d̂) communication promise on every
-	// session: protocol payload bytes divided by the resolved difference
-	// bound d̂. Independent of n by Theorem 3.3 — a drifting ratio means a
-	// protocol regression, not a bigger dataset.
+	// boundRatio is protocol payload bytes divided by the resolved bound d̂,
+	// observed on every session. It does not grow with n, but it is not a
+	// constant either: bytes per d̂ grow with d, h and s (Thms 3.3–3.10) and
+	// differ by protocol, so compare it only within one protocol and shape.
 	boundRatio *obs.Histogram
 
 	// Hot stage children, resolved once so the session path is an atomic add.

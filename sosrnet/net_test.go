@@ -225,7 +225,15 @@ func TestSetsOfSetsOverTCPAllProtocols(t *testing.T) {
 		{Seed: 9, Protocol: sosr.ProtocolAuto, KnownDiff: 24}, // = cascade
 		{Seed: 10, Protocol: sosr.ProtocolCascade, KnownDiff: 24, MaxChildSets: 70, MaxChildSize: 9, Validate: true},
 	}
-	for _, cfg := range cases {
+	// Forced retries: d is below the true difference, so the first replica
+	// fails to decode and later replicas (fresh coins) succeed.
+	retries := []sosr.Config{
+		{Seed: 4, Protocol: sosr.ProtocolNaive, KnownDiff: 4, Replicas: 4},
+		{Seed: 1, Protocol: sosr.ProtocolNested, KnownDiff: 4, Replicas: 4},
+		{Seed: 4, Protocol: sosr.ProtocolCascade, KnownDiff: 4, Replicas: 4},
+		{Seed: 1, Protocol: sosr.ProtocolMultiRound, KnownDiff: 4, Replicas: 4},
+	}
+	for i, cfg := range append(cases, retries...) {
 		name := fmt.Sprintf("%v/d=%d", cfg.Protocol, cfg.KnownDiff)
 		want, err := sosr.ReconcileSetsOfSets(alice, bob, cfg)
 		if err != nil {
@@ -243,6 +251,9 @@ func TestSetsOfSetsOverTCPAllProtocols(t *testing.T) {
 		}
 		if got.Attempts != want.Attempts {
 			t.Fatalf("%s: attempts %d, want %d", name, got.Attempts, want.Attempts)
+		}
+		if i >= len(cases) && got.Attempts < 2 {
+			t.Fatalf("%s: forced-retry case succeeded on its first replica", name)
 		}
 		checkNetStats(t, ns, want.Stats)
 	}

@@ -9,11 +9,14 @@
 // naming the dataset and the negotiated configuration (protocol kind,
 // variant, seed, difference bounds, instance shape); the server answers
 // "ctl/accept" with the resolved parameters (or "ctl/error"); then the
-// protocol frames flow — the same labeled payloads, byte for byte, that the
-// in-process transport records for the same configuration, because both ends
-// call the same exported Alice-step/Bob-step engine functions. The client
-// closes with "ctl/done" carrying its view of the session so the server can
-// log both sides' accounting.
+// protocol frames flow — byte for byte what the in-process transport
+// records. For sets of sets that holds by construction: the session's
+// control flow (replication, doubling, probe, rounds) is written once in
+// internal/core, whose Alice half the server runs and whose Bob half the
+// client runs; this package adds only the handshake, the encode and sketch
+// caches, instrumentation and ctl/done. The client closes with "ctl/done"
+// carrying its view of the session so the server can log both sides'
+// accounting.
 //
 // Framing (magic, version, label, length, checksum) lives in internal/wire;
 // control frames ("ctl/...") are excluded from protocol Stats and reported
@@ -26,7 +29,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 
+	"sosr/internal/core"
 	"sosr/internal/wire"
 )
 
@@ -47,8 +52,7 @@ const (
 	lblHello  = wire.CtlPrefix + "hello"
 	lblAccept = wire.CtlPrefix + "accept"
 	lblError  = wire.CtlPrefix + "error"
-	lblDone   = wire.CtlPrefix + "done"
-	lblRetry  = wire.CtlPrefix + "retry"
+	lblDone   = core.LabelDone
 )
 
 // protoVersion is the handshake version; bumped on incompatible changes.
@@ -243,25 +247,37 @@ func serverError(payload []byte) error {
 	return fmt.Errorf("%w: %s", ErrServer, em.Error)
 }
 
+// serverPeer is the client's end of a sets-of-sets session: a ctl/error
+// frame from the server surfaces as the server's error.
+type serverPeer struct{ *wire.Endpoint }
+
+func (p serverPeer) RecvFrame() (string, []byte, error) {
+	label, payload, err := p.Endpoint.RecvFrame()
+	if err == nil && label == lblError {
+		return "", nil, serverError(payload)
+	}
+	return label, payload, err
+}
+
+// netErr re-labels a give-up from core's session halves with this package's
+// ErrGaveUp, keeping the cause text, so the error a peer reads over the
+// wire names the package that serves it.
+func netErr(err error) error {
+	if rest, ok := strings.CutPrefix(err.Error(), core.ErrGaveUp.Error()); ok {
+		return fmt.Errorf("%w%s", ErrGaveUp, rest)
+	}
+	return err
+}
+
 // recvOrServerError reads the next frame, converting a ctl/error frame into
 // the server's error and enforcing the expected label otherwise.
 func recvOrServerError(ep *wire.Endpoint, label string) ([]byte, error) {
-	got, payload, err := ep.RecvFrame()
+	got, payload, err := serverPeer{ep}.RecvFrame()
 	if err != nil {
 		return nil, err
-	}
-	if got == lblError {
-		return nil, serverError(payload)
 	}
 	if got != label {
 		return nil, fmt.Errorf("sosrnet: expected frame %q, got %q", label, got)
 	}
 	return payload, nil
 }
-
-// tooBigDoubling mirrors core's doubling give-up rule (the bound has
-// outgrown any representable difference for the instance shape).
-func tooBigDoubling(d, s, h int) bool { return d > 4*s*h }
-
-// maxDoublingAttempts mirrors core's cap.
-const maxDoublingAttempts = 31

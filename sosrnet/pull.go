@@ -48,7 +48,7 @@ func (s *Server) PullSetsOfSets(ctx context.Context, name, peerAddr string, cfg 
 		}
 		k := enccache.Key{
 			Dataset: name, Version: view.version,
-			Proto: "bob/" + sosProtoName(kind), Seed: coins.Master(),
+			Proto: "bob/" + kind.String(), Seed: coins.Master(),
 			S: p.S, H: p.H, U: p.U, D: d, DHat: dHat,
 		}
 		v, hit, err := cache.GetOrComputeValue(k, func() (any, int64, error) {

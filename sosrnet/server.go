@@ -761,9 +761,8 @@ func (s *Server) handle(conn net.Conn) {
 		status = "client_failed"
 	}
 	m.sessions.With(string(h.Kind), proto, status).Inc()
-	// Bound-ratio audit: the paper promises O(d̂) protocol bytes per round
-	// independent of n; the ratio makes that checkable on every session,
-	// traced or not.
+	// Bound-ratio audit (see serverMetrics.boundRatio), on every
+	// session, traced or not.
 	var ratio float64
 	exceeded := false
 	if stc.dHat > 0 && st.TotalBytes > 0 {
@@ -930,54 +929,21 @@ func (s *Server) serveSet(ep *wire.Endpoint, coins hashing.Coins, view dsView, h
 
 // ---- sets of sets ----
 
-// sosPlan is the server-resolved sets-of-sets session shape.
-type sosPlan struct {
-	proto    string
-	p        core.Params
-	d        int
-	dHat     int
-	replicas int
+// resolveSOS fixes the session plan for a hello, by the rules the
+// in-process API applies to a sosr.Config.
+func resolveSOS(h *helloMsg, alice [][]uint64) (core.Plan, error) {
+	proto, ok := core.ParseProtocol(h.Protocol)
+	if !ok {
+		return core.Plan{}, fmt.Errorf("%w: protocol %q", ErrUnsupported, h.Protocol)
+	}
+	return core.ResolvePlan(core.Plan{
+		Protocol: proto, P: core.Params{S: h.S, H: h.H, U: h.U}, D: h.D, DHat: h.DHat, Replicas: h.Replicas,
+	}, max(len(alice), h.CS), max(maxChildLen(alice), h.CH))
 }
 
-func resolveSOS(h *helloMsg, alice [][]uint64) (*sosPlan, error) {
-	pl := &sosPlan{d: h.D}
-	pl.proto = h.Protocol
-	if pl.proto == "" || pl.proto == "auto" {
-		if pl.d > 0 {
-			pl.proto = "cascade"
-		} else {
-			pl.proto = "multiround"
-		}
-	}
-	switch pl.proto {
-	case "naive", "nested", "cascade", "multiround":
-	default:
-		return nil, fmt.Errorf("%w: protocol %q", ErrUnsupported, h.Protocol)
-	}
-	S := h.S
-	if S <= 0 {
-		S = max(len(alice), h.CS, 1)
-	}
-	H := h.H
-	if H <= 0 {
-		H = max(maxChildLen(alice), h.CH, 1)
-	}
-	p, err := core.Params{S: S, H: H, U: h.U}.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	pl.p = p
-	pl.replicas = h.Replicas
-	if pl.replicas <= 0 {
-		pl.replicas = 3
-	}
-	pl.dHat = h.DHat
-	if pl.dHat <= 0 {
-		pl.dHat = core.DHat(max(pl.d, 1, 1), p.S)
-	}
-	return pl, nil
-}
-
+// serveSOS plays Alice through core's session half. The hooks keep the
+// encode cache, live digests and stage spans here; the control flow is
+// core's.
 func (s *Server) serveSOS(ep *wire.Endpoint, coins hashing.Coins, view dsView, h *helloMsg, tr *sessTrace) (*doneMsg, string, string, error) {
 	alice := view.sos
 	pl, err := resolveSOS(h, alice)
@@ -987,212 +953,48 @@ func (s *Server) serveSOS(ep *wire.Endpoint, coins hashing.Coins, view dsView, h
 		// keeps hostile hellos from minting unbounded metric series.
 		return nil, "invalid", "", err
 	}
-	tr.bounds(pl.d, pl.dHat)
-	detail := fmt.Sprintf("d=%d d̂=%d s=%d h=%d", pl.d, pl.dHat, pl.p.S, pl.p.H)
+	proto := pl.Protocol.String()
+	tr.bounds(pl.D, pl.DHat)
+	detail := fmt.Sprintf("d=%d d̂=%d s=%d h=%d", pl.D, pl.DHat, pl.P.S, pl.P.H)
 	if h.Validate {
-		if err := core.Validate(alice, pl.p); err != nil {
+		if err := core.Validate(alice, pl.P); err != nil {
 			sendErrorFrame(ep, err)
-			return nil, pl.proto, detail, err
+			return nil, proto, detail, err
 		}
 	}
 	acc := &acceptMsg{
-		Kind: KindSetsOfSets, Protocol: pl.proto, D: pl.d, DHat: pl.dHat,
-		Replicas: pl.replicas, S: pl.p.S, H: pl.p.H, U: pl.p.U,
+		Kind: KindSetsOfSets, Protocol: proto, D: pl.D, DHat: pl.DHat,
+		Replicas: pl.Replicas, S: pl.P.S, H: pl.P.H, U: pl.P.U,
 	}
 	if err := s.accept(ep, acc); err != nil {
-		return nil, pl.proto, detail, err
+		return nil, proto, detail, err
 	}
-	var done *doneMsg
-	switch pl.proto {
-	case "naive":
-		if pl.d > 0 {
-			done, err = s.serveReplicatedOneShot(ep, coins, view, pl, core.DigestNaive, "naive-iblt", tr)
-		} else {
-			// Theorem 3.4: probe, then a single Theorem 3.3 shot.
-			esp := tr.child("estimate")
-			var probe []byte
-			if probe, err = ep.RecvExpect("childdiff-estimator"); err != nil {
-				esp.Fail(err)
-				esp.Finish()
-				break
-			}
-			dHat := core.EstimateChildDiff(probe, coins, alice, pl.p)
+	done, err := core.Alice(ep, coins, alice, pl, core.AliceOpts{
+		Msg: func(kind core.DigestKind, c hashing.Coins, d, dHat int) ([]byte, error) {
+			return s.sosAliceMsg(view, kind, c, pl.P, d, dHat, tr)
+		},
+		Round1: func(c hashing.Coins, dHat int) []byte {
+			return s.cachedMsg(view, "mr1", c.Master(), dHat, tr, func() []byte {
+				return core.MRAlice1(c, alice, dHat)
+			})
+		},
+		Bounds: tr.bounds,
+		Probed: func(start time.Time, dHat int, err error) {
+			esp := tr.stage.ChildAt("estimate", start)
 			esp.SetInt("dhat", int64(dHat))
-			esp.Finish()
-			tr.bounds(1, dHat)
-			var body []byte
-			if body, err = s.sosAliceMsg(view, core.DigestNaive, coins, pl.p, 1, dHat, tr); err != nil {
-				sendErrorFrame(ep, err)
-				break
-			}
-			if err = ep.SendFrame("naive-iblt", body); err != nil {
-				break
-			}
-			done, err = recvDone(ep)
-		}
-	case "nested":
-		if pl.d > 0 {
-			done, err = s.serveReplicatedOneShot(ep, coins, view, pl, core.DigestNested, "nested-iblt", tr)
-		} else {
-			done, err = s.serveDoubling(ep, coins, view, pl.p, core.DigestNested, "nested-iblt", tr)
-		}
-	case "cascade":
-		if pl.d > 0 {
-			done, err = s.serveReplicatedOneShot(ep, coins, view, pl, core.DigestCascade, "cascade-iblts", tr)
-		} else {
-			done, err = s.serveDoubling(ep, coins, view, pl.p, core.DigestCascade, "cascade-iblts", tr)
-		}
-	case "multiround":
-		done, err = s.serveMultiRound(ep, coins, view, pl, tr)
-	}
-	return done, pl.proto, detail, err
-}
-
-// serveReplicatedOneShot runs the §3.2 replication loop for a one-round
-// protocol: each attempt r uses fresh coins; the client answers ctl/done on
-// success (or final failure) and ctl/retry to request the next attempt.
-func (s *Server) serveReplicatedOneShot(ep *wire.Endpoint, coins hashing.Coins, view dsView, pl *sosPlan, kind core.DigestKind, label string, tr *sessTrace) (*doneMsg, error) {
-	for r := 0; r < pl.replicas; r++ {
-		c := coins.Sub("replica", r)
-		body, err := s.sosAliceMsg(view, kind, c, pl.p, pl.d, pl.dHat, tr)
-		if err != nil {
-			sendErrorFrame(ep, err)
-			return nil, err
-		}
-		if err := ep.SendFrame(label, body); err != nil {
-			return nil, err
-		}
-		got, payload, err := ep.RecvFrame()
-		if err != nil {
-			return nil, err
-		}
-		switch got {
-		case lblDone:
-			return parseDone(payload)
-		case lblRetry:
-			continue
-		default:
-			return nil, fmt.Errorf("sosrnet: unexpected frame %q", got)
-		}
-	}
-	err := fmt.Errorf("%w: %d replicas", ErrGaveUp, pl.replicas)
-	sendErrorFrame(ep, err)
-	return nil, err
-}
-
-// serveDoubling runs the Corollary 3.6/3.8 repeated-doubling loop: attempt k
-// uses d = 2^k with fresh coins; the client acknowledges each attempt with a
-// protocol "ack"/"retry" frame (the same 1-byte messages the in-process run
-// records) and closes with ctl/done.
-func (s *Server) serveDoubling(ep *wire.Endpoint, coins hashing.Coins, view dsView, p core.Params, kind core.DigestKind, label string, tr *sessTrace) (*doneMsg, error) {
-	for k := 0; k < maxDoublingAttempts; k++ {
-		d := 1 << k
-		att := coins.Sub("doubling-attempt", k)
-		// Each attempt re-records the bounds; the surviving values are the
-		// attempt the client acked (or the last one tried).
-		tr.bounds(d, core.DHat(d, p.S))
-		body, err := s.sosAliceMsg(view, kind, att, p, d, core.DHat(d, p.S), tr)
-		if err != nil {
-			sendErrorFrame(ep, err)
-			return nil, err
-		}
-		if err := ep.SendFrame(label, body); err != nil {
-			return nil, err
-		}
-		got, _, err := ep.RecvFrame()
-		if err != nil {
-			return nil, err
-		}
-		switch got {
-		case "ack":
-			return recvDone(ep)
-		case "retry":
-			// Give up when the bound outgrows the instance — or the server's
-			// own cap, so endless client retries cannot inflate allocations.
-			if tooBigDoubling(d, p.S, p.H) || d > s.maxBound() {
-				err := fmt.Errorf("%w: doubling bound %d exceeds instance size", ErrGaveUp, d)
-				sendErrorFrame(ep, err)
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("sosrnet: unexpected frame %q", got)
-		}
-	}
-	err := fmt.Errorf("%w: doubling attempts exhausted", ErrGaveUp)
-	sendErrorFrame(ep, err)
-	return nil, err
-}
-
-// serveMultiRound runs Theorem 3.9 (known d, replicated) or 3.10 (unknown d,
-// probe first) over the wire, the only genuinely multi-round flow.
-func (s *Server) serveMultiRound(ep *wire.Endpoint, coins hashing.Coins, view dsView, pl *sosPlan, tr *sessTrace) (*doneMsg, error) {
-	alice := view.sos
-	attempts := pl.replicas
-	dHat := pl.dHat
-	if pl.d <= 0 {
-		attempts = 1
-		esp := tr.child("estimate")
-		probe, err := ep.RecvExpect("childdiff-estimator")
-		if err != nil {
 			esp.Fail(err)
 			esp.Finish()
-			return nil, err
-		}
-		dHat = core.EstimateChildDiff(probe, coins, alice, pl.p)
-		esp.SetInt("dhat", int64(dHat))
-		esp.Finish()
-		tr.bounds(pl.d, dHat)
+		},
+		// Endless client retries must not inflate allocations past the cap.
+		MaxD: s.maxBound(),
+	})
+	if err != nil {
+		err = netErr(err)
+		sendErrorFrame(ep, err)
+		return nil, proto, detail, err
 	}
-	for r := 0; r < attempts; r++ {
-		c := coins
-		if pl.d > 0 {
-			c = coins.Sub("replica", r)
-			dHat = core.DHat(pl.d, pl.p.S)
-			tr.bounds(pl.d, dHat)
-		}
-		round1 := s.cachedMsg(view, "mr1", c.Master(), dHat, tr, func() []byte {
-			return core.MRAlice1(c, alice, dHat)
-		})
-		if err := ep.SendFrame("hash-iblt", round1); err != nil {
-			return nil, err
-		}
-		got, payload, err := ep.RecvFrame()
-		if err != nil {
-			return nil, err
-		}
-		switch got {
-		case lblRetry:
-			continue
-		case lblDone:
-			return parseDone(payload)
-		case "hash-iblt+estimators":
-		default:
-			return nil, fmt.Errorf("sosrnet: unexpected frame %q", got)
-		}
-		round3, _, err := core.MRAlice3(c, alice, pl.p, pl.d, payload)
-		if err != nil {
-			sendErrorFrame(ep, err)
-			return nil, err
-		}
-		if err := ep.SendFrame("pair-payloads", round3); err != nil {
-			return nil, err
-		}
-		got, payload, err = ep.RecvFrame()
-		if err != nil {
-			return nil, err
-		}
-		switch got {
-		case lblDone:
-			return parseDone(payload)
-		case lblRetry:
-			continue
-		default:
-			return nil, fmt.Errorf("sosrnet: unexpected frame %q", got)
-		}
-	}
-	err := fmt.Errorf("%w: %d attempts", ErrGaveUp, attempts)
-	sendErrorFrame(ep, err)
-	return nil, err
+	d, err := parseDone(done)
+	return d, proto, detail, err
 }
 
 // ---- graph ----

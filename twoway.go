@@ -21,51 +21,15 @@ type TwoWayResult struct {
 	Stats          Stats
 }
 
-// ReconcileSetsOfSetsTwoWay runs a one-way protocol (per cfg) and a return
-// leg so that both parties end with alice ∪ bob. One extra round carrying
-// exactly the child sets Alice lacked.
+// ReconcileSetsOfSetsTwoWay runs the one-way session ReconcileSetsOfSets
+// runs for cfg, then a return leg so that both parties end with alice ∪ bob.
+// One extra round carrying exactly the child sets Alice lacked.
 func ReconcileSetsOfSetsTwoWay(alice, bob [][]uint64, cfg Config) (*TwoWayResult, error) {
-	p := core.Params{S: cfg.MaxChildSets, H: cfg.MaxChildSize, U: cfg.Universe}
-	if p.S <= 0 {
-		p.S = maxLen(len(alice), len(bob))
+	pl, err := resolveSOS(alice, bob, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if p.H <= 0 {
-		p.H = maxChildLen(alice, bob)
-	}
-	coins := hashing.NewCoins(cfg.Seed)
-	sess := transport.New()
-	proto := cfg.Protocol
-	if proto == ProtocolAuto {
-		proto = ProtocolCascade
-	}
-	d := cfg.KnownDiff
-	oneWay := func(sess transport.Channel, c hashing.Coins, a, b [][]uint64) (*core.Result, error) {
-		switch proto {
-		case ProtocolNaive:
-			if d > 0 {
-				return core.NaiveKnownD(sess, c, a, b, p, core.DHat(d, p.S))
-			}
-			return core.NaiveUnknownD(sess, c, a, b, p)
-		case ProtocolNested:
-			if d > 0 {
-				return core.NestedKnownD(sess, c, a, b, p, d, core.DHat(d, p.S))
-			}
-			return core.NestedUnknownD(sess, c, a, b, p)
-		case ProtocolMultiRound:
-			if d > 0 {
-				return core.MultiRoundKnownD(sess, c, a, b, p, d)
-			}
-			return core.MultiRoundUnknownD(sess, c, a, b, p)
-		default:
-			if d > 0 {
-				return core.CascadeKnownD(sess, c, a, b, p, d)
-			}
-			return core.CascadeUnknownD(sess, c, a, b, p)
-		}
-	}
-	res, err := core.TwoWay(sess, coins, alice, bob, func(sess transport.Channel, c hashing.Coins, a, b [][]uint64) (*core.Result, error) {
-		return oneWay(sess, c, a, b)
-	})
+	res, err := core.TwoWay(transport.New(), hashing.NewCoins(cfg.Seed), alice, bob, pl)
 	if err != nil {
 		return nil, err
 	}
