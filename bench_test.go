@@ -143,7 +143,7 @@ func BenchmarkSetReconciliation(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sess := transport.New()
-				if _, err := setrecon.IBLTKnownD(sess, coins, alice, bob, d); err != nil {
+				if _, err := setrecon.Reconcile(sess, coins, alice, bob, setrecon.Plan{D: d}); err != nil {
 					b.Fatal(err)
 				}
 				bytes += sess.TotalBytes()
@@ -158,7 +158,7 @@ func BenchmarkSetReconciliation(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					sess := transport.New()
-					if _, err := setrecon.CharPoly(sess, coins, alice, bob, d); err != nil {
+					if _, err := setrecon.Reconcile(sess, coins, alice, bob, setrecon.Plan{D: d, CharPoly: true}); err != nil {
 						b.Fatal(err)
 					}
 					bytes += sess.TotalBytes()
@@ -295,8 +295,8 @@ func BenchmarkDegreeOrdering(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sess := transport.New()
-				if _, _, err := graphrecon.DegreeOrderingRecon(sess, coins, ga, gb,
-					graphrecon.DegreeOrderParams{H: h, D: d}); err != nil {
+				if _, _, err := graphrecon.Reconcile(sess, coins, ga, gb,
+					graphrecon.Plan{Scheme: graphrecon.SchemeDegreeOrdering, H: h, D: d}); err != nil {
 					b.Fatal(err)
 				}
 				bytes += sess.TotalBytes()
@@ -319,8 +319,8 @@ func BenchmarkDegreeNeighborhood(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sess := transport.New()
-		if _, _, err := graphrecon.NeighborhoodRecon(sess, coins, ga, base,
-			graphrecon.NeighborhoodParams{M: m, D: d}); err != nil {
+		if _, _, err := graphrecon.Reconcile(sess, coins, ga, base,
+			graphrecon.Plan{Scheme: graphrecon.SchemeNeighborhood, M: m, D: d}); err != nil {
 			b.Fatal(err)
 		}
 		bytes += sess.TotalBytes()
@@ -346,8 +346,8 @@ func BenchmarkForest(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sess := transport.New()
-				if _, _, err := forest.Recon(sess, coins, fa, fb,
-					forest.ReconParams{Sigma: sigma, D: 3}); err != nil {
+				if _, _, err := forest.Reconcile(sess, coins, fa, fb,
+					forest.Session{Req: forest.ReconParams{Sigma: sigma, D: 3}}); err != nil {
 					b.Fatal(err)
 				}
 				bytes += sess.TotalBytes()
@@ -387,10 +387,8 @@ func BenchmarkMultiset(b *testing.B) {
 	for i := 0; i < 8; i++ {
 		alice = append(alice, src.Uint64()%(1<<40))
 	}
-	coins := hashing.NewCoins(5)
 	for i := 0; i < b.N; i++ {
-		sess := transport.New()
-		if _, _, err := setrecon.MultisetKnownD(sess, coins, alice, bob, 16); err != nil {
+		if _, _, err := ReconcileMultisets(alice, bob, 16, 5); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -156,10 +156,3 @@ func reconcile(pathA, pathB string) error {
 	}
 	return nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

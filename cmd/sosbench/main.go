@@ -281,8 +281,8 @@ func graphs() {
 		ga, _ := graph.Perturb(g, 1, src)
 		gb, _ := graph.Perturb(g, 1, src)
 		sess := transport.New()
-		rec, _, err := graphrecon.DegreeOrderingRecon(sess, hashing.NewCoins(*seed+2), ga, gb,
-			graphrecon.DegreeOrderParams{H: h, D: d})
+		rec, _, err := graphrecon.Reconcile(sess, hashing.NewCoins(*seed+2), ga, gb,
+			graphrecon.Plan{Scheme: graphrecon.SchemeDegreeOrdering, H: h, D: d})
 		ok := err == nil && graph.IsIsomorphic(rec, ga)
 		fmt.Printf("%-8d %-6d %-6d %12d %14d %10v\n", n, d, h, sess.TotalBytes(), ga.EdgeCount()*8, ok)
 	}
@@ -321,8 +321,8 @@ func neighborhood() {
 		ga, _ := graph.Perturb(g, d/2+d%2, src)
 		gb, _ := graph.Perturb(g, d/2, src)
 		sess := transport.New()
-		rec, _, err := graphrecon.NeighborhoodRecon(sess, hashing.NewCoins(*seed+8), ga, gb,
-			graphrecon.NeighborhoodParams{M: m, D: d})
+		rec, _, err := graphrecon.Reconcile(sess, hashing.NewCoins(*seed+8), ga, gb,
+			graphrecon.Plan{Scheme: graphrecon.SchemeNeighborhood, M: m, D: d})
 		ok := err == nil && graph.IsIsomorphic(rec, ga)
 		fmt.Printf("%-8d %-10d %-12d %12d %10v\n", n, k, d, sess.TotalBytes(), ok)
 	}
@@ -342,7 +342,7 @@ func forests() {
 			sigma = s
 		}
 		sess := transport.New()
-		rec, _, err := forest.Recon(sess, hashing.NewCoins(*seed+9), fa, fb, forest.ReconParams{Sigma: sigma, D: d})
+		rec, _, err := forest.Reconcile(sess, hashing.NewCoins(*seed+9), fa, fb, forest.Session{Req: forest.ReconParams{Sigma: sigma, D: d}})
 		ok := err == nil && forest.IsIsomorphic(rec, fa)
 		fmt.Printf("%-8d %-6d %-6d %12d %10v\n", n, d, sigma, sess.TotalBytes(), ok)
 	}

@@ -123,3 +123,19 @@ func ExampleBuildDiffProbe() {
 	// Output:
 	// recovered: [[1 2] [9 10]]
 }
+
+// Figure 1: why graph reconciliation is one-way. Two graphs can be merged by
+// adding one edge to each in two ways, and the two merges differ.
+func ExampleFindFigure1Example() {
+	w, err := sosr.FindFigure1Example(5)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("G1 %v and G2 %v\n", w.G1.Edges, w.G2.Edges)
+	fmt.Printf("adding %v/%v gives one merge; %v/%v gives another\n", w.AddG1X, w.AddG2X, w.AddG1Y, w.AddG2Y)
+	fmt.Println("the two merges are isomorphic:", sosr.GraphsExactlyIsomorphic(w.MergeX, w.MergeY))
+	// Output:
+	// G1 [[0 1] [0 2]] and G2 [[0 3] [1 2]]
+	// adding [1 3]/[0 1] gives one merge; [3 4]/[0 4] gives another
+	// the two merges are isomorphic: false
+}

@@ -51,16 +51,9 @@ func ReconcileForests(alice, bob Forest, cfg ForestConfig) (*ForestResult, error
 	if err := fb.Validate(); err != nil {
 		return nil, err
 	}
-	sess := transport.New()
-	coins := hashing.NewCoins(cfg.Seed)
-	var rec *forest.Forest
-	var st transport.Stats
-	var err error
-	if cfg.MaxEdits > 0 {
-		rec, st, err = forest.Recon(sess, coins, fa, fb, forest.ReconParams{Sigma: cfg.Depth, D: cfg.MaxEdits})
-	} else {
-		rec, st, err = forest.ReconAuto(sess, coins, fa, fb, 0)
-	}
+	// MaxEdits 0 leaves Req.D at 0, which runs budget doubling.
+	rec, st, err := forest.Reconcile(transport.New(), hashing.NewCoins(cfg.Seed), fa, fb,
+		forest.Session{Req: forest.ReconParams{Sigma: cfg.Depth, D: cfg.MaxEdits}})
 	if err != nil {
 		return nil, err
 	}

@@ -81,32 +81,29 @@ func ReconcileGraphs(alice, bob Graph, cfg GraphConfig) (*GraphResult, error) {
 	ga, gb := alice.toInternal(), bob.toInternal()
 	coins := hashing.NewCoins(cfg.Seed)
 	sess := transport.New()
-	d := cfg.MaxEdits
-	if d < 1 {
-		d = 1
-	}
-	var rec *graph.Graph
-	var st transport.Stats
-	var err error
+	pl := graphrecon.Plan{D: max(cfg.MaxEdits, 1), H: cfg.TopDegrees, M: cfg.DegreeThreshold}
 	switch cfg.Scheme {
 	case SchemeDegreeOrdering:
 		if cfg.TopDegrees < 1 {
 			return nil, fmt.Errorf("sosr: SchemeDegreeOrdering requires TopDegrees (h)")
 		}
-		rec, st, err = graphrecon.DegreeOrderingRecon(sess, coins, ga, gb,
-			graphrecon.DegreeOrderParams{H: cfg.TopDegrees, D: d})
+		pl.Scheme = graphrecon.SchemeDegreeOrdering
 	case SchemeDegreeNeighborhood:
-		m := cfg.DegreeThreshold
-		if m < 1 {
+		if cfg.DegreeThreshold < 1 {
 			return nil, fmt.Errorf("sosr: SchemeDegreeNeighborhood requires DegreeThreshold (m)")
 		}
-		rec, st, err = graphrecon.NeighborhoodRecon(sess, coins, ga, gb,
-			graphrecon.NeighborhoodParams{M: m, D: d})
+		pl.Scheme = graphrecon.SchemeNeighborhood
 	case SchemePolynomial:
-		rec, st, err = graphrecon.PolyRecon(sess, coins, ga, gb,
-			graphrecon.PolyReconParams{D: d})
 	default:
 		return nil, fmt.Errorf("sosr: unknown graph scheme %d", cfg.Scheme)
+	}
+	var rec *graph.Graph
+	var st transport.Stats
+	var err error
+	if cfg.Scheme == SchemePolynomial {
+		rec, st, err = graphrecon.PolyRecon(sess, coins, ga, gb, graphrecon.PolyReconParams{D: pl.D})
+	} else {
+		rec, st, err = graphrecon.Reconcile(sess, coins, ga, gb, pl)
 	}
 	if err != nil {
 		return nil, err

@@ -375,12 +375,14 @@ func runFlaky(t *testing.T, replicas, fail int) (*Result, int, error) {
 	}
 	calls := 0
 	coins := hashing.NewCoins(1)
-	res, err := runPair(transport.New(),
-		func(peer Peer) error { _, err := Alice(peer, coins, alice, pl, AliceOpts{}); return err },
-		func(peer Peer) (*Result, error) {
+	ch := transport.New()
+	res, err := transport.RunPair(ch,
+		func(peer transport.Peer) error { _, err := Alice(peer, coins, alice, pl, AliceOpts{}); return err },
+		func(peer transport.Peer) (*Result, error) {
 			return Bob(peer, coins, bob, pl, BobOpts{Apply: flakyApply(bob, pl.P, fail, &calls)})
 		})
 	if err == nil {
+		res.Stats = ch.Stats()
 		checkRecovered(t, res, alice)
 	}
 	return res, calls, err

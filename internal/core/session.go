@@ -7,29 +7,15 @@ import (
 
 	"sosr/internal/hashing"
 	"sosr/internal/transport"
-	"sosr/internal/wire"
 )
 
 // Sets-of-sets sessions, written once: Alice and Bob below own all the
 // control flow around the one-round payloads — protocol choice, §3.2
 // replication, the doubling trick of Corollaries 3.6/3.8, the probe of
 // Theorems 3.4/3.10 and the rounds of Theorem 3.9. Callers adapt a half only
-// through hooks (payload source, apply step, observers).
-
-// Peer is one party's end of a session link: labeled frames in order. Over
-// TCP it is a *wire.Endpoint per machine; in process, a pair (Reconcile).
-type Peer interface {
-	SendFrame(label string, payload []byte) error
-	RecvFrame() (label string, payload []byte, err error)
-}
-
-// Session-control labels; like every control frame they are not counted in
-// Stats. Bob asks for the next replica with LabelRetry. LabelDone closes the
-// session: Bob's side sends it once his half has returned.
-const (
-	LabelRetry = wire.CtlPrefix + "retry"
-	LabelDone  = wire.CtlPrefix + "done"
-)
+// through hooks (payload source, apply step, observers). Both run over a
+// transport.Peer: a *wire.Endpoint per machine over TCP, or an in-process
+// pair (Reconcile).
 
 // Protocol selects a sets-of-sets algorithm (the paper's Table 1 rows).
 // ProtocolAuto resolves to cascade for known d, multiround for unknown d.
@@ -161,16 +147,6 @@ func (pl Plan) attemptCoins(coins hashing.Coins, r int) hashing.Coins {
 // any representable instance.
 const maxDoublingAttempts = 31
 
-// FailedError reports that Bob's decoding failed — a protocol outcome,
-// unlike a broken link or an error from Alice — after Attempts attempts.
-type FailedError struct {
-	Attempts int
-	Err      error
-}
-
-func (e *FailedError) Error() string { return e.Err.Error() }
-func (e *FailedError) Unwrap() error { return e.Err }
-
 // AliceOpts hooks a caller into Alice's half. Every field is optional.
 type AliceOpts struct {
 	// Msg builds a one-round payload; nil builds it with AliceMsg.
@@ -186,13 +162,8 @@ type AliceOpts struct {
 	MaxD int
 }
 
-// finished unwinds Alice's half when Bob closes the session.
-type finished struct{ payload []byte }
-
-func (*finished) Error() string { return "core: session finished" }
-
 type aliceHalf struct {
-	peer  Peer
+	peer  transport.Peer
 	coins hashing.Coins
 	alice [][]uint64
 	pl    Plan
@@ -202,7 +173,7 @@ type aliceHalf struct {
 // Alice runs Alice's half of a sets-of-sets session and returns the payload
 // of Bob's closing LabelDone. An error means she could not go on (a payload
 // failed to build, the bound outgrew the instance, the link broke).
-func Alice(peer Peer, coins hashing.Coins, alice [][]uint64, pl Plan, o AliceOpts) ([]byte, error) {
+func Alice(peer transport.Peer, coins hashing.Coins, alice [][]uint64, pl Plan, o AliceOpts) ([]byte, error) {
 	if o.Msg == nil {
 		o.Msg = func(kind DigestKind, c hashing.Coins, d, dHat int) ([]byte, error) {
 			return AliceMsg(kind, c, alice, pl.P, d, dHat)
@@ -235,39 +206,15 @@ func Alice(peer Peer, coins hashing.Coins, alice [][]uint64, pl Plan, o AliceOpt
 	default:
 		err = a.doubling(protocolKinds[pl.Protocol])
 	}
-	var f *finished
-	if errors.As(err, &f) {
-		return f.payload, nil
-	}
-	return nil, err
-}
-
-// recv reads Bob's next frame; LabelDone unwinds the half as *finished.
-func (a *aliceHalf) recv() (string, []byte, error) {
-	label, payload, err := a.peer.RecvFrame()
-	if err == nil && label == LabelDone {
-		return "", nil, &finished{payload}
-	}
-	return label, payload, err
-}
-
-func unexpected(label string) error { return fmt.Errorf("core: unexpected frame %q", label) }
-
-// end reads Bob's close of the session; any other frame is an error.
-func (a *aliceHalf) end() error {
-	label, _, err := a.recv()
-	if err == nil {
-		err = unexpected(label)
-	}
-	return err
+	return transport.AliceResult(err)
 }
 
 // verdict reads Bob's answer to an attempt: nil for a retry request, or the
 // session's end.
 func (a *aliceHalf) verdict() error {
-	label, _, err := a.recv()
-	if err == nil && label != LabelRetry {
-		err = unexpected(label)
+	label, _, err := transport.AliceRecv(a.peer)
+	if err == nil && label != transport.LabelRetry {
+		err = transport.Unexpected(label)
 	}
 	return err
 }
@@ -285,9 +232,9 @@ func (a *aliceHalf) send(kind DigestKind, coins hashing.Coins, d, dHat int) erro
 // probe receives Bob's child-difference estimator and derives d̂ from it.
 func (a *aliceHalf) probe() (int, error) {
 	start := time.Now()
-	label, msg, err := a.recv()
+	label, msg, err := transport.AliceRecv(a.peer)
 	if err == nil && label != "childdiff-estimator" {
-		err = unexpected(label)
+		err = transport.Unexpected(label)
 	}
 	dHat := 0
 	if err == nil {
@@ -318,35 +265,91 @@ func (a *aliceHalf) probedShot() error {
 	if err := a.send(DigestNaive, a.coins, 1, dHat); err != nil {
 		return err
 	}
-	return a.end()
+	return transport.AwaitDone(a.peer)
 }
 
-// doubling is the repeated-doubling trick of Corollaries 3.6/3.8: attempt k
-// runs at d = 2^k on fresh coins and Bob answers each with a counted "ack"
-// or "retry". Alice gives up once d outgrows any difference the instance
-// can hold.
+// doubling runs attempt k at d = 2^k. Alice gives up once the last d Bob
+// refused outgrows any difference the instance can hold.
 func (a *aliceHalf) doubling(kind DigestKind) error {
-	for k := 0; k < maxDoublingAttempts; k++ {
-		d := 1 << k
-		if err := a.send(kind, a.coins.Sub("doubling-attempt", k), d, DHat(d, a.pl.P.S)); err != nil {
+	return DoublingAlice(a.peer,
+		func(k int) error {
+			d := 1 << k
+			return a.send(kind, a.coins.Sub("doubling-attempt", k), d, DHat(d, a.pl.P.S))
+		},
+		func(k int) error {
+			if k == 0 {
+				return nil
+			}
+			if d := 1 << (k - 1); d > 4*a.pl.P.S*a.pl.P.H || (a.o.MaxD > 0 && d > a.o.MaxD) {
+				return fmt.Errorf("%w: doubling bound %d exceeds instance size", ErrGaveUp, d)
+			}
+			if k == maxDoublingAttempts {
+				return fmt.Errorf("%w: doubling attempts exhausted", ErrGaveUp)
+			}
+			return nil
+		})
+}
+
+// DoublingAlice runs Alice's side of verified doubling, the trick of
+// Corollaries 3.6/3.8 that every protocol without a known bound shares:
+// attempt k sends a payload sized for the k-th bound on its own coins, and
+// Bob answers each with a counted "ack" or "retry". Before attempt k, stop(k)
+// may end the session with its error (the bound outgrew the instance or a
+// cap). After Bob's ack she waits for his close.
+func DoublingAlice(peer transport.Peer, attempt func(k int) error, stop func(k int) error) error {
+	for k := 0; ; k++ {
+		if err := stop(k); err != nil {
 			return err
 		}
-		label, _, err := a.recv()
+		if err := attempt(k); err != nil {
+			return err
+		}
+		label, _, err := transport.AliceRecv(peer)
 		if err != nil {
 			return err
 		}
 		switch label {
 		case "ack":
-			return a.end()
+			return transport.AwaitDone(peer)
 		case "retry":
-			if d > 4*a.pl.P.S*a.pl.P.H || (a.o.MaxD > 0 && d > a.o.MaxD) {
-				return fmt.Errorf("%w: doubling bound %d exceeds instance size", ErrGaveUp, d)
-			}
 		default:
-			return unexpected(label)
+			return transport.Unexpected(label)
 		}
 	}
-	return fmt.Errorf("%w: doubling attempts exhausted", ErrGaveUp)
+}
+
+// DoublingBob runs Bob's side of verified doubling for at most n attempts.
+// An attempt reports a decode failure as *transport.FailedError, which Bob
+// answers with "retry"; his first success is answered with "ack" and
+// returned with its attempt count. Running out gives up with ErrGaveUp
+// wrapping the last failure.
+func DoublingBob[T any](peer transport.Peer, n int, attempt func(k int) (T, error)) (T, int, error) {
+	var zero T
+	var last error
+	for k := 0; k < n; k++ {
+		res, err := attempt(k)
+		if err == nil {
+			if err := peer.SendFrame("ack", []byte{1}); err != nil {
+				return zero, 0, err
+			}
+			return res, k + 1, nil
+		}
+		var fe *transport.FailedError
+		if !errors.As(err, &fe) {
+			if last != nil {
+				err = fmt.Errorf("%w (last attempt: %v)", err, last)
+			}
+			return zero, 0, err
+		}
+		last = fe.Err
+		if err := peer.SendFrame("retry", []byte{0}); err != nil {
+			return zero, 0, err
+		}
+	}
+	if last == nil {
+		return zero, 0, fmt.Errorf("%w: no attempt fits", ErrGaveUp)
+	}
+	return zero, 0, fmt.Errorf("%w: %w", ErrGaveUp, last)
 }
 
 // multiRound is Theorem 3.9 (known d, replicated) or Theorem 3.10 (probe
@@ -364,12 +367,12 @@ func (a *aliceHalf) multiRound() error {
 		if err := a.peer.SendFrame("hash-iblt", a.o.Round1(c, dHat)); err != nil {
 			return err
 		}
-		label, msg2, err := a.recv()
-		if err != nil || label == LabelRetry {
+		label, msg2, err := transport.AliceRecv(a.peer)
+		if err != nil || label == transport.LabelRetry {
 			return err
 		}
 		if label != "hash-iblt+estimators" {
-			return unexpected(label)
+			return transport.Unexpected(label)
 		}
 		round3, _, err := MRAlice3(c, a.alice, a.pl.P, a.pl.D, msg2)
 		if err != nil {
@@ -394,7 +397,7 @@ type BobOpts struct {
 }
 
 type bobHalf struct {
-	peer  Peer
+	peer  transport.Peer
 	coins hashing.Coins
 	bob   [][]uint64
 	pl    Plan
@@ -403,8 +406,8 @@ type bobHalf struct {
 
 // Bob runs Bob's half of a sets-of-sets session and returns his copy of
 // Alice's parent set with Attempts set; Stats live with the caller's link.
-// The caller then closes the session with LabelDone.
-func Bob(peer Peer, coins hashing.Coins, bob [][]uint64, pl Plan, o BobOpts) (*Result, error) {
+// The caller then closes the session with transport.LabelDone.
+func Bob(peer transport.Peer, coins hashing.Coins, bob [][]uint64, pl Plan, o BobOpts) (*Result, error) {
 	if o.Apply == nil {
 		o.Apply = func(kind DigestKind, c hashing.Coins, body []byte, d, dHat int) (*Result, error) {
 			return ApplyMsg(kind, c, body, bob, pl.P, d, dHat)
@@ -437,39 +440,28 @@ func Bob(peer Peer, coins hashing.Coins, bob [][]uint64, pl Plan, o BobOpts) (*R
 	return b.doubling(protocolKinds[pl.Protocol])
 }
 
-// expect reads Alice's next frame, which must carry label.
-func (b *bobHalf) expect(label string) ([]byte, error) {
-	got, payload, err := b.peer.RecvFrame()
-	if err != nil {
-		return nil, err
-	}
-	if got != label {
-		return nil, fmt.Errorf("core: expected frame %q, got %q", label, got)
-	}
-	return payload, nil
-}
-
 func (b *bobHalf) sendProbe() error {
 	return b.peer.SendFrame("childdiff-estimator", BuildChildDiffProbe(b.coins, b.bob, b.pl.P))
 }
 
 // shot receives and applies one one-round payload.
 func (b *bobHalf) shot(kind DigestKind, c hashing.Coins, d, dHat int) (*Result, error) {
-	body, err := b.expect(msgLabels[kind])
+	body, err := transport.Expect(b.peer, msgLabels[kind])
 	if err != nil {
 		return nil, err
 	}
 	res, err := b.o.Apply(kind, c, body, d, dHat)
 	if err != nil {
-		return nil, &FailedError{Attempts: 1, Err: err}
+		return nil, transport.Failed(err)
 	}
 	res.Attempts = 1
 	return res, nil
 }
 
 // replicate runs the plan's attempts until one decodes, asking Alice for
-// each next one with LabelRetry. An attempt reports a decode failure as
-// *FailedError; a replication loop that runs out gives up.
+// each next one with transport.LabelRetry. An attempt reports a decode
+// failure as *transport.FailedError; a replication loop that runs out gives
+// up.
 func (b *bobHalf) replicate(attempt func(c hashing.Coins, r int) (*Result, error)) (*Result, error) {
 	n := b.pl.attempts()
 	var last error
@@ -479,13 +471,13 @@ func (b *bobHalf) replicate(attempt func(c hashing.Coins, r int) (*Result, error
 			res.Attempts = r + 1
 			return res, nil
 		}
-		var fe *FailedError
+		var fe *transport.FailedError
 		if !errors.As(err, &fe) {
 			return nil, err
 		}
 		last = fe.Err
 		if r+1 < n {
-			if err := b.peer.SendFrame(LabelRetry, nil); err != nil {
+			if err := b.peer.SendFrame(transport.LabelRetry, nil); err != nil {
 				return nil, err
 			}
 		}
@@ -493,50 +485,35 @@ func (b *bobHalf) replicate(attempt func(c hashing.Coins, r int) (*Result, error
 	if b.pl.Replicas > 0 {
 		last = fmt.Errorf("%w: %v", ErrGaveUp, last)
 	}
-	return nil, &FailedError{Attempts: n, Err: last}
+	return nil, &transport.FailedError{Attempts: n, Err: last}
 }
 
 func (b *bobHalf) doubling(kind DigestKind) (*Result, error) {
-	var last error
-	for k := 0; k < maxDoublingAttempts; k++ {
+	res, attempts, err := DoublingBob(b.peer, maxDoublingAttempts, func(k int) (*Result, error) {
 		d := 1 << k
-		res, err := b.shot(kind, b.coins.Sub("doubling-attempt", k), d, DHat(d, b.pl.P.S))
-		if err == nil {
-			if err := b.peer.SendFrame("ack", []byte{1}); err != nil {
-				return nil, err
-			}
-			res.Attempts = k + 1
-			return res, nil
-		}
-		var fe *FailedError
-		if !errors.As(err, &fe) {
-			if last != nil {
-				err = fmt.Errorf("%w (last attempt: %v)", err, last)
-			}
-			return nil, err
-		}
-		last = fe.Err
-		if err := b.peer.SendFrame("retry", []byte{0}); err != nil {
-			return nil, err
-		}
+		return b.shot(kind, b.coins.Sub("doubling-attempt", k), d, DHat(d, b.pl.P.S))
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("%w: %v", ErrGaveUp, last)
+	res.Attempts = attempts
+	return res, nil
 }
 
 // multiRound runs Bob's rounds of one Theorem 3.9 attempt.
 func (b *bobHalf) multiRound(c hashing.Coins, r int) (*Result, error) {
-	msg1, err := b.expect("hash-iblt")
+	msg1, err := transport.Expect(b.peer, "hash-iblt")
 	if err != nil {
 		return nil, err
 	}
 	round2, st, err := MRBob2(c, b.bob, b.pl.P, msg1)
 	if err != nil {
-		return nil, &FailedError{Err: err}
+		return nil, &transport.FailedError{Err: err}
 	}
 	if err := b.peer.SendFrame("hash-iblt+estimators", round2); err != nil {
 		return nil, err
 	}
-	msg3, err := b.expect("pair-payloads")
+	msg3, err := transport.Expect(b.peer, "pair-payloads")
 	if err != nil {
 		return nil, err
 	}
@@ -544,7 +521,7 @@ func (b *bobHalf) multiRound(c hashing.Coins, r int) (*Result, error) {
 	res, err := MRBobFinish(c, b.bob, st, msg3)
 	b.o.Finished(start, r+1, res, err)
 	if err != nil {
-		return nil, &FailedError{Err: err}
+		return nil, &transport.FailedError{Err: err}
 	}
 	return res, nil
 }
@@ -557,105 +534,14 @@ func Reconcile(ch transport.Channel, coins hashing.Coins, alice, bob [][]uint64,
 		return nil, err
 	}
 	pl.P = p
-	return runPair(ch,
-		func(peer Peer) error {
+	res, err := transport.RunPair(ch,
+		func(peer transport.Peer) error {
 			_, err := Alice(peer, coins, alice, pl, AliceOpts{})
 			return err
 		},
-		func(peer Peer) (*Result, error) { return Bob(peer, coins, bob, pl, BobOpts{}) })
-}
-
-// errPeerClosed is what a pair end reads once the other half has returned.
-var errPeerClosed = errors.New("core: peer closed the session")
-
-type frame struct {
-	label   string
-	payload []byte
-}
-
-// pairEnd is one party's end of an in-process pair. Protocol frames pass
-// through the shared Channel, which counts them and hands back the
-// receiver's copy (tampered, recorded); control frames skip it, as on the
-// wire. The halves take turns — each sends only after reading the other's
-// last frame — so the hand-off orders their Channel calls and ch needs no
-// lock.
-type pairEnd struct {
-	ch       transport.Channel
-	role     transport.Role
-	in       <-chan frame
-	out      chan<- frame
-	peerGone <-chan struct{}
-}
-
-func (e *pairEnd) SendFrame(label string, payload []byte) error {
-	if !wire.IsControl(label) {
-		payload = e.ch.Send(e.role, label, payload)
-	}
-	select {
-	case e.out <- frame{label, payload}:
-		return nil
-	case <-e.peerGone:
-		return errPeerClosed
-	}
-}
-
-func (e *pairEnd) RecvFrame() (string, []byte, error) {
-	select {
-	case f := <-e.in:
-		return f.label, f.payload, nil
-	case <-e.peerGone:
-	}
-	select { // frames sent before the peer returned are still delivered
-	case f := <-e.in:
-		return f.label, f.payload, nil
-	default:
-		return "", nil, errPeerClosed
-	}
-}
-
-// pairDepth bounds the frames in flight one way; no half sends more than two
-// frames without reading an answer, so a live peer never blocks a send.
-const pairDepth = 4
-
-// runPair runs Alice's half on a background goroutine and Bob's on the
-// caller's, over a pair on ch. Either half returning unblocks the other; a
-// panic in Alice's half is re-raised here. Bob's own decode failure is the
-// session's error; otherwise Alice's error, which Bob only saw as a closed
-// peer, explains the failure.
-func runPair(ch transport.Channel, alice func(Peer) error, bob func(Peer) (*Result, error)) (*Result, error) {
-	toBob, toAlice := make(chan frame, pairDepth), make(chan frame, pairDepth)
-	aliceGone, bobGone := make(chan struct{}), make(chan struct{})
-	a := &pairEnd{ch: ch, role: transport.Alice, in: toAlice, out: toBob, peerGone: bobGone}
-	b := &pairEnd{ch: ch, role: transport.Bob, in: toBob, out: toAlice, peerGone: aliceGone}
-
-	var aErr error
-	var aPanic any
-	go func() {
-		defer close(aliceGone)
-		defer func() { aPanic = recover() }()
-		aErr = alice(a)
-	}()
-	res, bErr := func() (*Result, error) {
-		// Wait for Alice on every exit, a panic in Bob's half included, so
-		// nothing touches ch after we return.
-		defer func() { <-aliceGone }()
-		defer close(bobGone)
-		res, err := bob(b)
-		_ = b.SendFrame(LabelDone, nil) // fails only when Alice already returned
-		return res, err
-	}()
-	if aPanic != nil {
-		panic(aPanic)
-	}
-	if bErr != nil {
-		var fe *FailedError
-		if errors.As(bErr, &fe) {
-			return nil, fe.Err
-		}
-		if aErr != nil {
-			return nil, aErr
-		}
-		return nil, bErr
+		func(peer transport.Peer) (*Result, error) { return Bob(peer, coins, bob, pl, BobOpts{}) })
+	if err != nil {
+		return nil, err
 	}
 	res.Stats = ch.Stats()
 	return res, nil

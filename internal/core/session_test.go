@@ -25,7 +25,7 @@ func within(t *testing.T, fn func()) {
 }
 
 // recvOnly is a half that waits for one frame and returns its error.
-func recvOnly(peer Peer) (*Result, error) {
+func recvOnly(peer transport.Peer) (*Result, error) {
 	_, _, err := peer.RecvFrame()
 	return nil, err
 }
@@ -37,7 +37,7 @@ func TestPairReraisesAlicePanic(t *testing.T) {
 		return nil
 	}
 	got := catch(func() {
-		runPair(transport.New(), func(Peer) error { panic("alice boom") }, recvOnly)
+		transport.RunPair(transport.New(), func(transport.Peer) error { panic("alice boom") }, recvOnly)
 	})
 	if got != "alice boom" {
 		t.Fatalf("recovered %v, want Alice's panic on the caller's goroutine", got)
@@ -58,7 +58,7 @@ func TestPairUnblocksWhenOneHalfFails(t *testing.T) {
 	within(t, func() {
 		// Alice fails while Bob waits for her payload: Bob reads a closed
 		// peer, and the session reports Alice's error.
-		_, err := runPair(transport.New(), func(Peer) error { return errAlice }, recvOnly)
+		_, err := transport.RunPair(transport.New(), func(transport.Peer) error { return errAlice }, recvOnly)
 		if !errors.Is(err, errAlice) {
 			t.Errorf("err = %v, want Alice's", err)
 		}
@@ -67,15 +67,15 @@ func TestPairUnblocksWhenOneHalfFails(t *testing.T) {
 		// Bob fails while Alice waits for his probe: Alice reads the
 		// session's close, and the session reports Bob's failure.
 		var aliceSaw string
-		_, err := runPair(transport.New(),
-			func(peer Peer) error {
+		_, err := transport.RunPair(transport.New(),
+			func(peer transport.Peer) error {
 				label, _, err := peer.RecvFrame()
 				aliceSaw = label
 				return err
 			},
-			func(Peer) (*Result, error) { return nil, &FailedError{Attempts: 1, Err: ErrVerify} })
-		if !errors.Is(err, ErrVerify) || aliceSaw != LabelDone {
-			t.Errorf("err = %v, Alice read %q; want Bob's failure and %q", err, aliceSaw, LabelDone)
+			func(transport.Peer) (*Result, error) { return nil, &transport.FailedError{Attempts: 1, Err: ErrVerify} })
+		if !errors.Is(err, ErrVerify) || aliceSaw != transport.LabelDone {
+			t.Errorf("err = %v, Alice read %q; want Bob's failure and %q", err, aliceSaw, transport.LabelDone)
 		}
 	})
 }

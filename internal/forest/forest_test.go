@@ -190,7 +190,7 @@ func TestReconIdentical(t *testing.T) {
 	src := prng.New(6)
 	f := Random(50, 0.2, src)
 	sess := transport.New()
-	rec, stats, err := Recon(sess, hashing.NewCoins(11), f, f.Clone(), ReconParams{D: 1})
+	rec, stats, err := Reconcile(sess, hashing.NewCoins(11), f, f.Clone(), Session{Req: ReconParams{D: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestReconPerturbed(t *testing.T) {
 			sigma = s
 		}
 		sess := transport.New()
-		rec, _, err := Recon(sess, hashing.NewCoins(uint64(d)+17), fa, fb, ReconParams{Sigma: sigma, D: d})
+		rec, _, err := Reconcile(sess, hashing.NewCoins(uint64(d)+17), fa, fb, Session{Req: ReconParams{Sigma: sigma, D: d}})
 		if err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
@@ -227,7 +227,7 @@ func TestReconAuto(t *testing.T) {
 	fa := Random(60, 0.2, src)
 	fb := Perturb(fa, 3, src)
 	sess := transport.New()
-	rec, _, err := ReconAuto(sess, hashing.NewCoins(23), fa, fb, 1<<16)
+	rec, _, err := Reconcile(sess, hashing.NewCoins(23), fa, fb, Session{MaxBudget: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,8 +246,8 @@ func TestReconCommunicationScalesWithDSigma(t *testing.T) {
 		fb := Perturb(fa, 2, src)
 		sess := transport.New()
 		// Pin Sigma and Budget so both runs use identical table plans.
-		if _, _, err := Recon(sess, hashing.NewCoins(31), fa, fb,
-			ReconParams{Sigma: 12, D: 2, Budget: 192}); err != nil {
+		if _, _, err := Reconcile(sess, hashing.NewCoins(31), fa, fb,
+			Session{Req: ReconParams{Sigma: 12, D: 2, Budget: 192}}); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		return sess.TotalBytes()

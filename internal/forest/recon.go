@@ -7,7 +7,6 @@ import (
 
 	"sosr/internal/core"
 	"sosr/internal/hashing"
-	"sosr/internal/transport"
 )
 
 // Forest reconciliation (Theorem 6.1). Each vertex contributes one child
@@ -65,28 +64,6 @@ func VertexMultisets(f *Forest, sigs []uint64) [][]uint64 {
 	return out
 }
 
-// Recon runs the Theorem 6.1 protocol: one round (plus the shared
-// sets-of-sets transmission), O(dσ log dσ log n) bits. Bob ends with a
-// forest isomorphic to Alice's.
-func Recon(sess transport.Channel, coins hashing.Coins, fa, fb *Forest, p ReconParams) (*Forest, transport.Stats, error) {
-	p, params := Plan(Measure(fa), Measure(fb), p)
-
-	// --- Alice ---
-	sigMsgA, meta, err := AliceMsg(coins, fa, p, params)
-	if err != nil {
-		return nil, transport.Stats{}, err
-	}
-	sigMsg := sess.Send(transport.Alice, "cascade-iblts", sigMsgA)
-	metaMsg := sess.Send(transport.Alice, "forest-meta", meta)
-
-	// --- Bob: reconcile the signature collection and rebuild. ---
-	rebuilt, err := Apply(coins, fb, p, params, sigMsg, metaMsg)
-	if err != nil {
-		return nil, transport.Stats{}, err
-	}
-	return rebuilt, sess.Stats(), nil
-}
-
 // SideInfo is one party's contribution to the shared instance shape; both
 // parties combine their infos (via Plan) before any bytes flow, in-process or
 // through a handshake. All fields are structural — independent of the
@@ -134,7 +111,7 @@ func Plan(a, b SideInfo, p ReconParams) (ReconParams, core.Params) {
 		// Each edit re-signs at most σ ancestors; each re-signed vertex
 		// changes its own M_v and its parent's, costing ≲4 packed elements
 		// plus multiplicity-tag churn. Callers wanting certainty can pass a
-		// larger Budget or use ReconAuto's verified doubling.
+		// larger Budget or run a Session's verified doubling.
 		p.Budget = 4*p.D*(p.Sigma+2) + 16
 	}
 	maxChild := a.MaxChild
@@ -153,7 +130,7 @@ func encodeSide(coins hashing.Coins, f *Forest) ([][]uint64, error) {
 
 // AliceMsg builds Alice's Theorem 6.1 transmission — the cascaded signature
 // payload plus the vertex-count meta frame — from her forest and the planned
-// parameters. Split deployments ship both and apply them with Apply.
+// parameters: one round, O(dσ log dσ log n) bits. Apply is Bob's step.
 func AliceMsg(coins hashing.Coins, fa *Forest, p ReconParams, params core.Params) (sig, meta []byte, err error) {
 	parentA, err := encodeSide(coins, fa)
 	if err != nil {
@@ -193,26 +170,6 @@ func Apply(coins hashing.Coins, fb *Forest, p ReconParams, params core.Params, s
 	}
 	wantN := int(binary.LittleEndian.Uint64(metaMsg))
 	return Rebuild(res.Recovered, wantN)
-}
-
-// ReconAuto retries Recon with doubling budgets until Bob verifies, for
-// callers without a good d·σ bound (the Corollary 3.8 doubling applied to
-// forests). Bob acknowledges each attempt.
-func ReconAuto(sess transport.Channel, coins hashing.Coins, fa, fb *Forest, maxBudget int) (*Forest, transport.Stats, error) {
-	if maxBudget <= 0 {
-		maxBudget = 1 << 20
-	}
-	var lastErr error
-	for budget, k := 16, 0; budget <= maxBudget; budget, k = budget*2, k+1 {
-		out, _, err := Recon(sess, coins.Sub("forest-attempt", k), fa, fb, ReconParams{Sigma: 1, D: 1, Budget: budget})
-		if err == nil {
-			sess.Send(transport.Bob, "ack", []byte{1})
-			return out, sess.Stats(), nil
-		}
-		lastErr = err
-		sess.Send(transport.Bob, "retry", []byte{0})
-	}
-	return nil, sess.Stats(), fmt.Errorf("%w: %v", ErrBudget, lastErr)
 }
 
 // Rebuild reconstructs a forest (up to isomorphism) from a recovered

@@ -26,7 +26,7 @@ func TestReconDeepChain(t *testing.T) {
 	fb := fa.Clone()
 	fb.Parent[n/2] = -1 // cut the chain in half
 	sess := transport.New()
-	rec, _, err := Recon(sess, hashing.NewCoins(1), fa, fb, ReconParams{Sigma: n, D: 1})
+	rec, _, err := Reconcile(sess, hashing.NewCoins(1), fa, fb, Session{Req: ReconParams{Sigma: n, D: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestReconStar(t *testing.T) {
 	fb := fa.Clone()
 	fb.Parent[7] = -1 // one leaf detached
 	sess := transport.New()
-	rec, _, err := Recon(sess, hashing.NewCoins(2), fa, fb, ReconParams{Sigma: 2, D: 1})
+	rec, _, err := Reconcile(sess, hashing.NewCoins(2), fa, fb, Session{Req: ReconParams{Sigma: 2, D: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestReconSingleVertexForests(t *testing.T) {
 	fa := New(1)
 	fb := New(1)
 	sess := transport.New()
-	rec, _, err := Recon(sess, hashing.NewCoins(3), fa, fb, ReconParams{D: 1})
+	rec, _, err := Reconcile(sess, hashing.NewCoins(3), fa, fb, Session{Req: ReconParams{D: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestReconAllIsolated(t *testing.T) {
 	// n isolated roots on both sides.
 	fa, fb := New(64), New(64)
 	sess := transport.New()
-	rec, _, err := Recon(sess, hashing.NewCoins(4), fa, fb, ReconParams{D: 1})
+	rec, _, err := Reconcile(sess, hashing.NewCoins(4), fa, fb, Session{Req: ReconParams{D: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestReconBinaryTree(t *testing.T) {
 		sigma = s
 	}
 	sess := transport.New()
-	rec, _, err := Recon(sess, hashing.NewCoins(6), fa, fb, ReconParams{Sigma: sigma, D: 2})
+	rec, _, err := Reconcile(sess, hashing.NewCoins(6), fa, fb, Session{Req: ReconParams{Sigma: sigma, D: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

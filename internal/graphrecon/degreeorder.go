@@ -23,7 +23,6 @@ import (
 	"sosr/internal/hashing"
 	"sosr/internal/iblt"
 	"sosr/internal/setutil"
-	"sosr/internal/transport"
 )
 
 // Protocol errors.
@@ -131,35 +130,6 @@ func MaxSeparatedH(g *graph.Graph, a, b, hMax int) int {
 	return 0
 }
 
-// DegreeOrderingRecon runs the Theorem 5.2 protocol. Preconditions: the
-// underlying base graph is (h, d+1, 2d+1)-separated and at most p.D edge
-// changes separate ga and gb. One round: Alice ships the cascaded
-// signature tables and the labeled-edge IBLT together; Bob recovers Alice's
-// signatures, derives the conforming labeling, and reconciles the labeled
-// edges. Returns Bob's copy of Alice's graph under Alice's labeling.
-func DegreeOrderingRecon(sess transport.Channel, coins hashing.Coins, ga, gb *graph.Graph, p DegreeOrderParams) (*graph.Graph, transport.Stats, error) {
-	if ga.N != gb.N {
-		return nil, transport.Stats{}, fmt.Errorf("graphrecon: vertex count mismatch")
-	}
-
-	// --- Alice: signatures, labeling, edge IBLT. Signature sets-of-sets
-	// reconciliation (Theorem 3.7), then the edge IBLT in the same round
-	// (consecutive Alice sends = one round). ---
-	msgs, err := DegreeOrderAlice(coins, ga, p)
-	if err != nil {
-		return nil, transport.Stats{}, err
-	}
-	sigMsg := sess.Send(transport.Alice, "cascade-iblts", msgs.Sig)
-	edgeMsg := sess.Send(transport.Alice, "edge-iblt", msgs.Edges)
-
-	// --- Bob: conforming labeling from Alice's recovered signatures. ---
-	recovered, err := DegreeOrderApply(coins, gb, p, sigMsg, edgeMsg)
-	if err != nil {
-		return nil, transport.Stats{}, err
-	}
-	return recovered, sess.Stats(), nil
-}
-
 // GraphMsgs holds Alice's two parallel one-round payloads: the cascaded
 // signature tables (sent under "cascade-iblts") and the labeled-edge IBLT
 // (sent under "edge-iblt").
@@ -169,8 +139,8 @@ type GraphMsgs struct {
 }
 
 // DegreeOrderAlice builds Alice's Theorem 5.2 transmission from her graph
-// alone, for split-party deployments; DegreeOrderApply is Bob's half. The
-// payloads are byte-identical to what the in-process protocol sends.
+// alone: the signature sets-of-sets payload (Theorem 3.7) and the labeled-edge
+// IBLT. DegreeOrderApply is Bob's step.
 func DegreeOrderAlice(coins hashing.Coins, ga *graph.Graph, p DegreeOrderParams) (*GraphMsgs, error) {
 	n, h, d := ga.N, p.H, p.D
 	if h < 1 || h >= n {
@@ -196,8 +166,10 @@ func DegreeOrderAlice(coins hashing.Coins, ga *graph.Graph, p DegreeOrderParams)
 	return &GraphMsgs{Sig: sigMsg, Edges: edgePayload}, nil
 }
 
-// DegreeOrderApply runs Bob's Theorem 5.2 half against Alice's received
-// payloads, returning his copy of Alice's graph under Alice's labeling.
+// DegreeOrderApply runs Bob's Theorem 5.2 step against Alice's received
+// payloads: he recovers her signatures, derives the conforming labeling, and
+// reconciles the labeled edges, returning his copy of Alice's graph under her
+// labeling.
 func DegreeOrderApply(coins hashing.Coins, gb *graph.Graph, p DegreeOrderParams, sigMsg, edgeMsg []byte) (*graph.Graph, error) {
 	n, h, d := gb.N, p.H, p.D
 	if h < 1 || h >= n {

@@ -67,7 +67,7 @@ func TestDegreeOrderingRecon(t *testing.T) {
 	for _, d := range []int{2, 4} {
 		ga, gb, h := sampleDegreeOrderPair(t, 720, 0.4, d, uint64(d)*101+7)
 		sess := transport.New()
-		rec, stats, err := DegreeOrderingRecon(sess, hashing.NewCoins(uint64(d)+5), ga, gb, DegreeOrderParams{H: h, D: d})
+		rec, stats, err := Reconcile(sess, hashing.NewCoins(uint64(d)+5), ga, gb, Plan{Scheme: SchemeDegreeOrdering, H: h, D: d})
 		if err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
@@ -84,7 +84,7 @@ func TestDegreeOrderingCommunicationSublinearInEdges(t *testing.T) {
 	d := 2
 	ga, gb, h := sampleDegreeOrderPair(t, 720, 0.4, d, 31)
 	sess := transport.New()
-	_, stats, err := DegreeOrderingRecon(sess, hashing.NewCoins(77), ga, gb, DegreeOrderParams{H: h, D: d})
+	_, stats, err := Reconcile(sess, hashing.NewCoins(77), ga, gb, Plan{Scheme: SchemeDegreeOrdering, H: h, D: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestNeighborhoodRecon(t *testing.T) {
 		ga, _ := graph.Perturb(g, 1, src)
 		gb := g.Clone()
 		sess := transport.New()
-		rec, stats, err := NeighborhoodRecon(sess, hashing.NewCoins(uint64(attempt)+3), ga, gb, NeighborhoodParams{M: m, D: d})
+		rec, stats, err := Reconcile(sess, hashing.NewCoins(uint64(attempt)+3), ga, gb, Plan{Scheme: SchemeNeighborhood, M: m, D: d})
 		if err != nil {
 			t.Fatalf("recon: %v", err)
 		}

@@ -10,7 +10,6 @@ import (
 	"sosr/internal/iblt"
 	"sosr/internal/setrecon"
 	"sosr/internal/setutil"
-	"sosr/internal/transport"
 )
 
 // The §5.2 degree-neighborhood scheme. A vertex's signature D_v is the
@@ -84,46 +83,6 @@ func AreNeighborhoodsDisjoint(g *graph.Graph, m, k int) bool {
 	return true
 }
 
-// NeighborhoodRecon runs the Theorem 5.6 protocol: signatures reconciled as
-// a set of multisets via the cascading protocol, closest-signature matching
-// with the 2d threshold, and labeled-edge reconciliation in the same round.
-// Returns Bob's copy of Alice's graph under Alice's labeling.
-func NeighborhoodRecon(sess transport.Channel, coins hashing.Coins, ga, gb *graph.Graph, p NeighborhoodParams) (*graph.Graph, transport.Stats, error) {
-	if ga.N != gb.N {
-		return nil, transport.Stats{}, fmt.Errorf("graphrecon: vertex count mismatch")
-	}
-	// Both parties contribute their largest packed signature to the shared
-	// instance shape (a split deployment negotiates this in its handshake);
-	// each side encodes its signatures exactly once.
-	sideA, err := NeighborhoodEncode(ga, p.M)
-	if err != nil {
-		return nil, transport.Stats{}, err
-	}
-	sideB, err := NeighborhoodEncode(gb, p.M)
-	if err != nil {
-		return nil, transport.Stats{}, err
-	}
-	maxSig := sideA.MaxSig
-	if sideB.MaxSig > maxSig {
-		maxSig = sideB.MaxSig
-	}
-
-	// --- Alice ---
-	msgs, err := NeighborhoodAlice(coins, ga, p, sideA, maxSig)
-	if err != nil {
-		return nil, transport.Stats{}, err
-	}
-	sigMsg := sess.Send(transport.Alice, "cascade-iblts", msgs.Sig)
-	edgeMsg := sess.Send(transport.Alice, "edge-iblt", msgs.Edges)
-
-	// --- Bob ---
-	recovered, err := NeighborhoodApply(coins, gb, p, sideB, maxSig, sigMsg, edgeMsg)
-	if err != nil {
-		return nil, transport.Stats{}, err
-	}
-	return recovered, sess.Stats(), nil
-}
-
 // NbrSide is one party's encoded degree-neighborhood signatures: the raw
 // multisets, their packed-set forms, and the largest packed size (the
 // quantity both sides combine by max to agree on the instance shape).
@@ -161,8 +120,9 @@ func NeighborhoodBudget(p NeighborhoodParams) int {
 }
 
 // NeighborhoodAlice builds Alice's Theorem 5.6 transmission from her
-// encoded side plus the negotiated maxSig; NeighborhoodApply is Bob's half.
-// The payloads are byte-identical to what the in-process protocol sends.
+// encoded side plus the negotiated maxSig: signatures reconciled as a set of
+// multisets via the cascading protocol, and the labeled-edge IBLT.
+// NeighborhoodApply is Bob's step.
 func NeighborhoodAlice(coins hashing.Coins, ga *graph.Graph, p NeighborhoodParams, side *NbrSide, maxSig int) (*GraphMsgs, error) {
 	n, d := ga.N, p.D
 	budget := NeighborhoodBudget(p)
@@ -191,7 +151,7 @@ func NeighborhoodAlice(coins hashing.Coins, ga *graph.Graph, p NeighborhoodParam
 	return &GraphMsgs{Sig: sigMsg, Edges: edgePayload}, nil
 }
 
-// NeighborhoodApply runs Bob's Theorem 5.6 half against Alice's received
+// NeighborhoodApply runs Bob's Theorem 5.6 step against Alice's received
 // payloads: conforming labeling by closest signature, then labeled-edge
 // reconciliation.
 func NeighborhoodApply(coins hashing.Coins, gb *graph.Graph, p NeighborhoodParams, side *NbrSide, maxSig int, sigMsg, edgeMsg []byte) (*graph.Graph, error) {

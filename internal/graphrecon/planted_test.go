@@ -47,8 +47,8 @@ func TestPlantedSurvivesPerturbation(t *testing.T) {
 		ga, _ := graph.Perturb(g, 1, src)
 		gb, _ := graph.Perturb(g, 1, src)
 		sess := transport.New()
-		rec, _, err := DegreeOrderingRecon(sess, hashing.NewCoins(uint64(trial)+70), ga, gb,
-			DegreeOrderParams{H: h, D: d})
+		rec, _, err := Reconcile(sess, hashing.NewCoins(uint64(trial)+70), ga, gb,
+			Plan{Scheme: SchemeDegreeOrdering, H: h, D: d})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -20,8 +20,8 @@ func TestIBLTAndCharPolyAgree(t *testing.T) {
 		alice, bob := makePair(src.Uint64(), 30+src.Intn(100), d)
 		coins := hashing.NewCoins(src.Uint64())
 
-		ib, errI := IBLTKnownD(transport.New(), coins, alice, bob, d+2)
-		cp, errC := CharPoly(transport.New(), coins, alice, bob, d+2)
+		ib, errI := Reconcile(transport.New(), coins, alice, bob, Plan{D: d + 2})
+		cp, errC := Reconcile(transport.New(), coins, alice, bob, Plan{D: d + 2, CharPoly: true})
 		if errC != nil {
 			t.Fatalf("charpoly must always succeed with a valid bound: %v", errC)
 		}
@@ -43,7 +43,7 @@ func TestCharPolyProbabilityOneAcrossSeeds(t *testing.T) {
 	// Theorem 2.3 succeeds with probability 1: every seed must work.
 	alice, bob := makePair(7, 40, 6)
 	for seed := uint64(0); seed < 30; seed++ {
-		res, err := CharPoly(transport.New(), hashing.NewCoins(seed), alice, bob, 6)
+		res, err := Reconcile(transport.New(), hashing.NewCoins(seed), alice, bob, Plan{D: 6, CharPoly: true})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -56,7 +56,7 @@ func TestCharPolyProbabilityOneAcrossSeeds(t *testing.T) {
 func TestCharPolyLargeDifference(t *testing.T) {
 	// Stress the cubic path: d = 64 differences.
 	alice, bob := makePair(11, 200, 64)
-	res, err := CharPoly(transport.New(), hashing.NewCoins(3), alice, bob, 64)
+	res, err := Reconcile(transport.New(), hashing.NewCoins(3), alice, bob, Plan{D: 64, CharPoly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestCharPolyLargeDifference(t *testing.T) {
 func TestIBLTEmptySides(t *testing.T) {
 	// Alice empty: Bob must delete everything he has.
 	bobOnly := []uint64{5, 6, 7}
-	res, err := IBLTKnownD(transport.New(), hashing.NewCoins(1), nil, bobOnly, 3)
+	res, err := Reconcile(transport.New(), hashing.NewCoins(1), nil, bobOnly, Plan{D: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestIBLTEmptySides(t *testing.T) {
 	}
 	// Bob empty: he must adopt Alice's set wholesale.
 	aliceOnly := []uint64{9, 10}
-	res2, err := IBLTKnownD(transport.New(), hashing.NewCoins(2), aliceOnly, nil, 2)
+	res2, err := Reconcile(transport.New(), hashing.NewCoins(2), aliceOnly, nil, Plan{D: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +87,14 @@ func TestIBLTEmptySides(t *testing.T) {
 }
 
 func TestCharPolyEmptySides(t *testing.T) {
-	res, err := CharPoly(transport.New(), hashing.NewCoins(4), []uint64{42}, nil, 1)
+	res, err := Reconcile(transport.New(), hashing.NewCoins(4), []uint64{42}, nil, Plan{D: 1, CharPoly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Recovered) != 1 || res.Recovered[0] != 42 {
 		t.Fatal("singleton recovery wrong")
 	}
-	res2, err := CharPoly(transport.New(), hashing.NewCoins(5), nil, []uint64{42}, 1)
+	res2, err := Reconcile(transport.New(), hashing.NewCoins(5), nil, []uint64{42}, Plan{D: 1, CharPoly: true})
 	if err != nil {
 		t.Fatal(err)
 	}

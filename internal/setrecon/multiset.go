@@ -4,9 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-
-	"sosr/internal/hashing"
-	"sosr/internal/transport"
 )
 
 // Multiset handling (paper §3.4): "We create a set from our multiset, where
@@ -89,24 +86,4 @@ func MultisetSymDiff(a, b []uint64) int {
 		d += v
 	}
 	return d
-}
-
-// MultisetKnownD reconciles multisets with a known bound d on the packed-set
-// difference using the IBLT protocol. Note that a multiplicity change turns
-// into two packed-set differences, so callers should pass 2·d_multiset when
-// converting a multiset bound.
-func MultisetKnownD(sess transport.Channel, coins hashing.Coins, alice, bob []uint64, d int) ([]uint64, *Result, error) {
-	sa, err := MultisetToSet(alice)
-	if err != nil {
-		return nil, nil, err
-	}
-	sb, err := MultisetToSet(bob)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := IBLTKnownD(sess, coins, sa, sb, d)
-	if err != nil {
-		return nil, nil, err
-	}
-	return SetToMultiset(res.Recovered), res, nil
 }

@@ -1,18 +1,24 @@
 // Package setrecon implements one-level set reconciliation, the substrate
 // that sets-of-sets reconciliation builds on:
 //
-//   - IBLTKnownD:   Corollary 2.2 — one round, O(d log u) bits, O(n) time,
-//     success with probability 1 - 1/poly(d).
-//   - IBLTUnknownD: Corollary 3.2 — two rounds; Bob first sends a
-//     set-difference estimator (Theorem 3.1).
-//   - CharPoly:     Theorem 2.3 — characteristic-polynomial reconciliation
+//   - Corollary 2.2: one round, O(d log u) bits, O(n) time, success with
+//     probability 1 - 1/poly(d) (BuildIBLTMsg / ApplyIBLTMsg).
+//   - Corollary 3.2: two rounds; Bob first sends a set-difference estimator
+//     (Theorem 3.1; BuildDiffEstimator / DiffBoundFromEstimator), then the
+//     Corollary 2.2 round runs with the bound it yields.
+//   - Theorem 2.3: characteristic-polynomial reconciliation
 //     (Minsky–Trachtenberg–Zippel); succeeds with probability 1, at
-//     O(n·d + d^3) cost.
+//     O(n·d + d^3) cost (EncodeCharPoly / ApplyCharPolyMsg).
+//
+// A session is written once, as an Alice half and a Bob half over a
+// transport.Peer: a network server runs Alice's, its client Bob's, and
+// Reconcile runs both in process over a transport.Channel. Multisets (§3.4)
+// ride the same halves on their packed sets.
 //
 // All protocols are one-way: Bob ends up with Alice's set. Two-way
 // reconciliation follows by applying the decoded difference to Alice as
 // well; the recovered difference is returned explicitly so callers can do
-// either. Data crosses parties only through transport.Session as bytes.
+// either.
 package setrecon
 
 import (
@@ -55,26 +61,9 @@ type Result struct {
 // verifySeed labels the whole-set verification hash.
 const verifySeedLabel = "setrecon/verify"
 
-// IBLTKnownD runs Corollary 2.2: Alice encodes her set into an O(d)-cell
-// IBLT plus a verification hash and sends it; Bob deletes his elements,
-// peels, and applies the difference. alice and bob must be canonical sets.
-func IBLTKnownD(sess transport.Channel, coins hashing.Coins, alice, bob []uint64, d int) (*Result, error) {
-	// --- Alice ---
-	msg := sess.Send(transport.Alice, "iblt", BuildIBLTMsg(coins, alice, d))
-
-	// --- Bob ---
-	res, err := ApplyIBLTMsg(coins, msg, bob)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = sess.Stats()
-	return res, nil
-}
-
 // BuildIBLTMsg computes Alice's Corollary 2.2 payload — an O(d)-cell IBLT of
-// her set plus the whole-set verification hash — for split-party deployments
-// that ship it over their own channel (the in-process protocol sends exactly
-// these bytes under the "iblt" label). ApplyIBLTMsg is the receiving half.
+// her set plus the whole-set verification hash, sent under the "iblt" label.
+// ApplyIBLTMsg is the receiving step.
 func BuildIBLTMsg(coins hashing.Coins, alice []uint64, d int) []byte {
 	ta := iblt.NewUint64(iblt.CellsFor(d), 0, coins.Seed("setrecon/iblt", 0))
 	for _, x := range alice {
@@ -85,8 +74,9 @@ func BuildIBLTMsg(coins hashing.Coins, alice []uint64, d int) []byte {
 	return binary.LittleEndian.AppendUint64(buf, vh)
 }
 
-// ApplyIBLTMsg runs Bob's half of the Corollary 2.2 protocol against a
-// received BuildIBLTMsg payload. The returned Result carries zero Stats; the
+// ApplyIBLTMsg runs Bob's step of the Corollary 2.2 protocol against a
+// received BuildIBLTMsg payload: he deletes his elements, peels, and applies
+// the difference. The returned Result carries zero Stats; the
 // caller owns communication accounting.
 func ApplyIBLTMsg(coins hashing.Coins, msg []byte, bob []uint64) (*Result, error) {
 	if len(msg) < 8 {
@@ -124,25 +114,9 @@ func ApplyIBLTMsg(coins hashing.Coins, msg []byte, bob []uint64) (*Result, error
 // difference bounds, absorbing the constant-factor slack of Theorem 3.1.
 const EstimatorSafety = 4
 
-// IBLTUnknownD runs Corollary 3.2: Bob sends a set-difference estimator,
-// Alice queries the merged estimator to bound d, then the Corollary 2.2
-// protocol runs with that bound. Two rounds.
-func IBLTUnknownD(sess transport.Channel, coins hashing.Coins, alice, bob []uint64) (*Result, error) {
-	// --- Bob: round 1 ---
-	msg := sess.Send(transport.Bob, "estimator", BuildDiffEstimator(coins, bob))
-
-	// --- Alice: round 2 ---
-	d, err := DiffBoundFromEstimator(coins, msg, alice)
-	if err != nil {
-		return nil, err
-	}
-	return IBLTKnownD(sess, coins, alice, bob, d)
-}
-
-// BuildDiffEstimator computes Bob's Theorem 3.1 round-1 message: a
-// set-difference estimator over his elements (the in-process protocol sends
-// exactly these bytes under the "estimator" label). Split-party callers feed
-// it to DiffBoundFromEstimator on Alice's side.
+// BuildDiffEstimator computes Bob's Theorem 3.1 round-1 message, sent under
+// the "estimator" label: a set-difference estimator over his elements, which
+// Alice feeds to DiffBoundFromEstimator.
 func BuildDiffEstimator(coins hashing.Coins, bob []uint64) []byte {
 	eb := estimator.New(estimator.Params{}, coins.Seed("setrecon/estimator", 0))
 	for _, x := range bob {
@@ -169,36 +143,13 @@ func DiffBoundFromEstimator(coins hashing.Coins, probe []byte, alice []uint64) (
 	return int(ea.Estimate())*EstimatorSafety + 4, nil
 }
 
-// CharPoly runs Theorem 2.3: Alice sends her set size and d+1 evaluations of
-// her characteristic polynomial at reserved points; Bob interpolates the
-// rational function χA/χB, factors numerator and denominator, and applies
-// the difference. Succeeds with probability 1 whenever the true difference
-// is at most d. Elements must be < 2^60.
-func CharPoly(sess transport.Channel, coins hashing.Coins, alice, bob []uint64, d int) (*Result, error) {
-	if d < 0 {
-		d = 0
-	}
-	if err := checkRange(alice); err != nil {
-		return nil, err
-	}
-
-	// --- Alice ---
-	msg := sess.Send(transport.Alice, "charpoly", EncodeCharPoly(alice, d+1))
-
-	// --- Bob ---
-	res, err := ApplyCharPolyMsg(coins, msg, bob, d)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = sess.Stats()
-	return res, nil
-}
-
-// ApplyCharPolyMsg runs Bob's Theorem 2.3 half against a received
-// EncodeCharPoly payload built with `points = d+1`. The Result carries zero
-// Stats; the caller owns communication accounting.
+// ApplyCharPolyMsg runs Bob's Theorem 2.3 step against a received
+// EncodeCharPoly payload built with `points = d+1`: he interpolates the
+// rational function χA/χB, factors numerator and denominator, and applies the
+// difference. The Result carries zero Stats; the caller owns communication
+// accounting.
 func ApplyCharPolyMsg(coins hashing.Coins, msg []byte, bob []uint64, d int) (*Result, error) {
-	if err := checkRange(bob); err != nil {
+	if err := CheckRange(bob); err != nil {
 		return nil, err
 	}
 	onlyA, onlyB, err := DecodeCharPoly(msg, bob, d, coins.Seed("setrecon/czroots", 0))
@@ -211,10 +162,6 @@ func ApplyCharPolyMsg(coins hashing.Coins, msg []byte, bob []uint64, d int) (*Re
 		OnlyB:     setutil.Canonical(onlyB),
 	}, nil
 }
-
-// CheckRange verifies every element fits the 2^60 universe the
-// characteristic-polynomial protocols embed into.
-func CheckRange(xs []uint64) error { return checkRange(xs) }
 
 // EncodeCharPoly builds Alice's Theorem 2.3 message: her set size followed
 // by `points` evaluations of her characteristic polynomial at the reserved
@@ -299,7 +246,9 @@ func charPolyDecode(sizeA int, evals []uint64, bob []uint64, d int, rootSeed uin
 	return rootsA, rootsB, nil
 }
 
-func checkRange(xs []uint64) error {
+// CheckRange verifies every element fits the 2^60 universe the
+// characteristic-polynomial protocols embed into.
+func CheckRange(xs []uint64) error {
 	for _, x := range xs {
 		if x > setutil.MaxElement {
 			return fmt.Errorf("%w: %d", ErrElementRange, x)

@@ -44,7 +44,7 @@ func TestIBLTKnownD(t *testing.T) {
 	for _, d := range []int{0, 1, 2, 5, 20, 100} {
 		alice, bob := makePair(uint64(d)+1, 500, d)
 		sess := transport.New()
-		res, err := IBLTKnownD(sess, hashing.NewCoins(99), alice, bob, d)
+		res, err := Reconcile(sess, hashing.NewCoins(99), alice, bob, Plan{D: d})
 		if err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
@@ -63,12 +63,12 @@ func TestIBLTKnownD(t *testing.T) {
 func TestIBLTKnownDCommunicationScalesWithD(t *testing.T) {
 	alice, bob := makePair(3, 5000, 10)
 	sess10 := transport.New()
-	if _, err := IBLTKnownD(sess10, hashing.NewCoins(1), alice, bob, 10); err != nil {
+	if _, err := Reconcile(sess10, hashing.NewCoins(1), alice, bob, Plan{D: 10}); err != nil {
 		t.Fatal(err)
 	}
 	alice2, bob2 := makePair(4, 5000, 100)
 	sess100 := transport.New()
-	if _, err := IBLTKnownD(sess100, hashing.NewCoins(1), alice2, bob2, 100); err != nil {
+	if _, err := Reconcile(sess100, hashing.NewCoins(1), alice2, bob2, Plan{D: 100}); err != nil {
 		t.Fatal(err)
 	}
 	if sess100.TotalBytes() <= sess10.TotalBytes() {
@@ -77,7 +77,7 @@ func TestIBLTKnownDCommunicationScalesWithD(t *testing.T) {
 	// Communication must be independent of n: compare same d, different n.
 	alice3, bob3 := makePair(5, 50000, 10)
 	sess3 := transport.New()
-	if _, err := IBLTKnownD(sess3, hashing.NewCoins(1), alice3, bob3, 10); err != nil {
+	if _, err := Reconcile(sess3, hashing.NewCoins(1), alice3, bob3, Plan{D: 10}); err != nil {
 		t.Fatal(err)
 	}
 	if sess3.TotalBytes() != sess10.TotalBytes() {
@@ -88,7 +88,7 @@ func TestIBLTKnownDCommunicationScalesWithD(t *testing.T) {
 func TestIBLTKnownDUndersizedFails(t *testing.T) {
 	alice, bob := makePair(8, 100, 400)
 	sess := transport.New()
-	_, err := IBLTKnownD(sess, hashing.NewCoins(2), alice, bob, 2)
+	_, err := Reconcile(sess, hashing.NewCoins(2), alice, bob, Plan{D: 2})
 	if err == nil {
 		t.Fatal("expected failure with undersized bound")
 	}
@@ -101,7 +101,7 @@ func TestIBLTUnknownD(t *testing.T) {
 	for _, d := range []int{0, 3, 25, 200} {
 		alice, bob := makePair(uint64(d)+50, 1000, d)
 		sess := transport.New()
-		res, err := IBLTUnknownD(sess, hashing.NewCoins(7), alice, bob)
+		res, err := Reconcile(sess, hashing.NewCoins(7), alice, bob, Plan{Estimate: true})
 		if err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
@@ -118,7 +118,7 @@ func TestCharPolyExact(t *testing.T) {
 	for _, d := range []int{0, 1, 2, 7, 15} {
 		alice, bob := makePair(uint64(d)+11, 50, d)
 		sess := transport.New()
-		res, err := CharPoly(sess, hashing.NewCoins(3), alice, bob, d)
+		res, err := Reconcile(sess, hashing.NewCoins(3), alice, bob, Plan{D: d, CharPoly: true})
 		if err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
@@ -136,7 +136,7 @@ func TestCharPolyOverboundedStillExact(t *testing.T) {
 	// the exact answer (probability-1 guarantee).
 	alice, bob := makePair(21, 40, 3)
 	sess := transport.New()
-	res, err := CharPoly(sess, hashing.NewCoins(4), alice, bob, 12)
+	res, err := Reconcile(sess, hashing.NewCoins(4), alice, bob, Plan{D: 12, CharPoly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestCharPolyAsymmetricSizes(t *testing.T) {
 	alice := setutil.Canonical(append(append([]uint64{}, shared...), 60, 70, 80))
 	bob := setutil.Canonical(shared)
 	sess := transport.New()
-	res, err := CharPoly(sess, hashing.NewCoins(5), alice, bob, 3)
+	res, err := Reconcile(sess, hashing.NewCoins(5), alice, bob, Plan{D: 3, CharPoly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestCharPolyAsymmetricSizes(t *testing.T) {
 	}
 	// And the reverse direction.
 	sess2 := transport.New()
-	res2, err := CharPoly(sess2, hashing.NewCoins(5), bob, alice, 3)
+	res2, err := Reconcile(sess2, hashing.NewCoins(5), bob, alice, Plan{D: 3, CharPoly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,14 +172,14 @@ func TestCharPolyAsymmetricSizes(t *testing.T) {
 func TestCharPolyUndersizedFails(t *testing.T) {
 	alice, bob := makePair(31, 30, 10)
 	sess := transport.New()
-	if _, err := CharPoly(sess, hashing.NewCoins(6), alice, bob, 2); err == nil {
+	if _, err := Reconcile(sess, hashing.NewCoins(6), alice, bob, Plan{D: 2, CharPoly: true}); err == nil {
 		t.Fatal("expected failure when d underestimates the difference")
 	}
 }
 
 func TestCharPolyRejectsHugeElements(t *testing.T) {
 	sess := transport.New()
-	_, err := CharPoly(sess, hashing.NewCoins(1), []uint64{1 << 61}, []uint64{}, 1)
+	_, err := Reconcile(sess, hashing.NewCoins(1), []uint64{1 << 61}, []uint64{}, Plan{D: 1, CharPoly: true})
 	if !errors.Is(err, ErrElementRange) {
 		t.Fatalf("got %v, want ErrElementRange", err)
 	}
@@ -189,7 +189,7 @@ func TestCharPolyCommunication(t *testing.T) {
 	// O(d log u): d+1 evaluations of 8 bytes plus the 8-byte size.
 	alice, bob := makePair(41, 1000, 4)
 	sess := transport.New()
-	if _, err := CharPoly(sess, hashing.NewCoins(8), alice, bob, 4); err != nil {
+	if _, err := Reconcile(sess, hashing.NewCoins(8), alice, bob, Plan{D: 4, CharPoly: true}); err != nil {
 		t.Fatal(err)
 	}
 	want := 8 + 8*(4+1)
@@ -247,11 +247,19 @@ func TestMultisetKnownD(t *testing.T) {
 	bob := []uint64{1, 2, 2, 3, 3}
 	// Packed-set difference: counts of 1 differ (2 vs 1): 2 entries; counts
 	// of 2 differ: 2 entries; counts of 3 differ: 2 entries => 6.
-	sess := transport.New()
-	got, res, err := MultisetKnownD(sess, hashing.NewCoins(11), alice, bob, 6)
+	sa, err := MultisetToSet(alice)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sb, err := MultisetToSet(bob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Reconcile(transport.New(), hashing.NewCoins(11), sa, sb, Plan{D: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := SetToMultiset(res.Recovered)
 	if MultisetSymDiff(got, alice) != 0 {
 		t.Fatalf("recovered %v, want %v", got, alice)
 	}

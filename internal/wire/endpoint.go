@@ -151,7 +151,7 @@ func (e *Endpoint) SendFrame(label string, payload []byte) error {
 	if err != nil {
 		return e.fail(err)
 	}
-	if !IsControl(label) {
+	if !transport.IsControl(label) {
 		e.rec.Record(e.local, label, len(payload))
 	}
 	return nil
@@ -243,7 +243,7 @@ func (e *Endpoint) RecvFrame() (label string, payload []byte, err error) {
 	if err != nil {
 		return "", nil, e.fail(err)
 	}
-	if !IsControl(label) {
+	if !transport.IsControl(label) {
 		e.rec.Record(e.remote(), label, len(payload))
 	}
 	return label, payload, nil

@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"sosr/internal/transport"
 )
 
 // Magic opens every frame.
@@ -48,13 +50,9 @@ const MaxLabel = 255
 // hostile length field cannot OOM the peer.
 const DefaultMaxPayload = 1 << 28
 
-// CtlPrefix marks session-control labels, excluded from protocol Stats.
-const CtlPrefix = "ctl/"
-
-// IsControl reports whether a label names a control frame.
-func IsControl(label string) bool {
-	return len(label) >= len(CtlPrefix) && label[:len(CtlPrefix)] == CtlPrefix
-}
+// CtlPrefix marks session-control labels, excluded from protocol Stats; it
+// is transport's, spelled here for code that builds frames.
+const CtlPrefix = transport.CtlPrefix
 
 // Framing errors.
 var (

@@ -38,22 +38,12 @@ type SetResult struct {
 // sets (any order, duplicates ignored), Bob recovers Alice's set. See
 // SetConfig for protocol selection.
 func ReconcileSets(alice, bob []uint64, cfg SetConfig) (*SetResult, error) {
-	a, b := setutil.Canonical(alice), setutil.Canonical(bob)
-	sess := transport.New()
-	coins := hashing.NewCoins(cfg.Seed)
-	var res *setrecon.Result
-	var err error
-	switch {
-	case cfg.UseCharPoly:
-		if cfg.KnownDiff <= 0 {
-			return nil, errCharPolyNeedsBound
-		}
-		res, err = setrecon.CharPoly(sess, coins, a, b, cfg.KnownDiff)
-	case cfg.KnownDiff > 0:
-		res, err = setrecon.IBLTKnownD(sess, coins, a, b, cfg.KnownDiff)
-	default:
-		res, err = setrecon.IBLTUnknownD(sess, coins, a, b)
+	if cfg.UseCharPoly && cfg.KnownDiff <= 0 {
+		return nil, errCharPolyNeedsBound
 	}
+	res, err := setrecon.Reconcile(transport.New(), hashing.NewCoins(cfg.Seed),
+		setutil.Canonical(alice), setutil.Canonical(bob),
+		setrecon.Plan{D: cfg.KnownDiff, Estimate: cfg.KnownDiff <= 0, CharPoly: cfg.UseCharPoly})
 	if err != nil {
 		return nil, err
 	}
@@ -66,16 +56,25 @@ func ReconcileSets(alice, bob []uint64, cfg SetConfig) (*SetResult, error) {
 }
 
 // ReconcileMultisets reconciles multisets (slices with repeats) via the
-// §3.4 (element, count) packing. diffBound bounds the packed-set difference;
-// pass 2× the multiset edit distance when converting a multiset bound.
+// §3.4 (element, count) packing, running the set protocol on the packed
+// sets. diffBound bounds the packed-set difference (pass 2× the multiset
+// edit distance when converting a multiset bound); diffBound ≤ 0 runs the
+// estimator round of Corollary 3.2 first, as the network client does.
 // Elements must be < 2^48 with per-element multiplicity < 2^12.
 func ReconcileMultisets(alice, bob []uint64, diffBound int, seed uint64) ([]uint64, Stats, error) {
-	sess := transport.New()
-	recovered, res, err := setrecon.MultisetKnownD(sess, hashing.NewCoins(seed), alice, bob, diffBound)
+	sa, err := setrecon.MultisetToSet(alice)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return recovered, statsFrom(res.Stats), nil
+	sb, err := setrecon.MultisetToSet(bob)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	res, err := setrecon.Reconcile(transport.New(), hashing.NewCoins(seed), sa, sb, setrecon.Plan{D: diffBound, Estimate: diffBound <= 0})
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return setrecon.SetToMultiset(res.Recovered), statsFrom(res.Stats), nil
 }
 
 // SetDifference returns |a ⊕ b| computed locally (ground truth for sizing

@@ -1,6 +1,7 @@
 package sosr
 
 import (
+	"reflect"
 	"testing"
 
 	"sosr/internal/prng"
@@ -75,6 +76,29 @@ func TestReconcileMultisets(t *testing.T) {
 	}
 	if stats.Rounds != 1 {
 		t.Fatalf("rounds %d", stats.Rounds)
+	}
+}
+
+// TestReconcileMultisetsUnknownBound runs diffBound 0 — the estimator round
+// of Corollary 3.2 over the packed sets — on multisets whose 200 elements
+// all differ in multiplicity (400 packed-set differences).
+func TestReconcileMultisetsUnknownBound(t *testing.T) {
+	var alice, bob []uint64
+	for x := uint64(0); x < 200; x++ {
+		alice = append(alice, x)
+		bob = append(bob, x, x)
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		got, stats, err := ReconcileMultisets(alice, bob, 0, seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !reflect.DeepEqual(got, alice) {
+			t.Fatalf("seed %d: recovered a different multiset", seed)
+		}
+		if stats.Rounds != 2 || stats.BobBytes == 0 {
+			t.Fatalf("seed %d: no estimator round: %+v", seed, stats)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"sosr/internal/core"
 	"sosr/internal/enccache"
 	"sosr/internal/forest"
+	"sosr/internal/graph"
 	"sosr/internal/graphrecon"
 	"sosr/internal/hashing"
 	"sosr/internal/obs"
@@ -156,7 +157,7 @@ func (c *Client) hello(ep *wire.Endpoint, h *helloMsg, sp *obs.Span) (*acceptMsg
 	if err := ep.SendFrame(lblHello, marshalCtl(h)); err != nil {
 		return nil, err
 	}
-	payload, err := recvOrServerError(ep, lblAccept)
+	payload, err := transport.Expect(serverPeer{ep}, lblAccept)
 	if err != nil {
 		return nil, err
 	}
@@ -231,187 +232,140 @@ func (c *Client) finishSpan(sp *obs.Span, ns *NetStats, err error) {
 	sp.Finish()
 }
 
-// Sets reconciles a local set against the hosted set `name`: the client ends
-// up with the server's set. cfg mirrors sosr.ReconcileSets. Cancelling ctx
-// severs the session.
-func (c *Client) Sets(ctx context.Context, name string, local []uint64, cfg sosr.SetConfig) (*sosr.SetResult, *NetStats, error) {
-	sp := c.startSpan(ctx, name, KindSet)
-	res, ns, err := c.sets(ctx, name, local, cfg, sp)
+// traced runs one session under its client span (startSpan/finishSpan),
+// re-labelling its error once ctx is done.
+func traced[T any](c *Client, ctx context.Context, name string, kind Kind, run func(sp *obs.Span) (T, *NetStats, error)) (T, *NetStats, error) {
+	sp := c.startSpan(ctx, name, kind)
+	res, ns, err := run(sp)
 	err = ctxErr(ctx, err)
 	c.finishSpan(sp, ns, err)
 	return res, ns, err
 }
 
-func (c *Client) sets(ctx context.Context, name string, local []uint64, cfg sosr.SetConfig, sp *obs.Span) (*sosr.SetResult, *NetStats, error) {
-	if cfg.UseCharPoly && cfg.KnownDiff <= 0 {
-		return nil, nil, errors.New("sosrnet: UseCharPoly requires KnownDiff > 0")
-	}
-	bob := setutil.Canonical(local)
+// bobSession runs one session as Bob: dial, hello, then bob — an engine's
+// Bob half over the server's peer — and ctl/done. A decode failure
+// (*transport.FailedError) is reported to the server as a failed done; a
+// broken link or a server error ends the session as it is.
+func bobSession[T any](c *Client, ctx context.Context, h *helloMsg, sp *obs.Span, bob func(peer transport.Peer, acc *acceptMsg) (T, int, error)) (T, *NetStats, error) {
+	var zero T
 	ep, cleanup, err := c.session(ctx)
 	if err != nil {
-		return nil, nil, err
+		return zero, nil, err
 	}
 	defer cleanup()
-	_, err = c.hello(ep, &helloMsg{
-		Dataset: name, Kind: KindSet, Seed: cfg.Seed,
-		D: cfg.KnownDiff, CharPoly: cfg.UseCharPoly,
-	}, sp)
+	acc, err := c.hello(ep, h, sp)
 	if err != nil {
-		return nil, nil, err
+		return zero, nil, err
 	}
-	coins := hashing.NewCoins(cfg.Seed)
-	var res *setrecon.Result
-	if cfg.UseCharPoly {
-		msg, err := recvOrServerError(ep, "charpoly")
-		if err != nil {
-			return nil, nil, err
+	res, attempts, err := bob(serverPeer{ep}, acc)
+	if err != nil {
+		var fe *transport.FailedError
+		if errors.As(err, &fe) {
+			err = netErr(fe.Err)
+			sendDone(ep, false, err, fe.Attempts)
+			return zero, nil, err
 		}
-		res, err = setrecon.ApplyCharPolyMsg(coins, msg, bob, cfg.KnownDiff)
-		if err != nil {
-			sendDone(ep, false, err, 1)
-			return nil, nil, err
-		}
-	} else {
-		if cfg.KnownDiff <= 0 {
-			if err := ep.SendFrame("estimator", setrecon.BuildDiffEstimator(coins, bob)); err != nil {
-				return nil, nil, err
-			}
-		}
-		msg, err := recvOrServerError(ep, "iblt")
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err = setrecon.ApplyIBLTMsg(coins, msg, bob)
-		if err != nil {
-			sendDone(ep, false, err, 1)
-			return nil, nil, err
-		}
+		return zero, nil, netErr(err)
 	}
-	sendDone(ep, true, nil, 1)
-	ns := netStats(ep, 1)
-	return &sosr.SetResult{
-		Recovered: res.Recovered,
-		OnlyA:     res.OnlyA,
-		OnlyB:     res.OnlyB,
-		Stats:     ns.Protocol,
-	}, ns, nil
+	sendDone(ep, true, nil, attempts)
+	return res, netStats(ep, attempts), nil
+}
+
+// Sets reconciles a local set against the hosted set `name`: the client ends
+// up with the server's set. cfg mirrors sosr.ReconcileSets. Cancelling ctx
+// severs the session.
+func (c *Client) Sets(ctx context.Context, name string, local []uint64, cfg sosr.SetConfig) (*sosr.SetResult, *NetStats, error) {
+	return traced(c, ctx, name, KindSet, func(sp *obs.Span) (*sosr.SetResult, *NetStats, error) {
+		if cfg.UseCharPoly && cfg.KnownDiff <= 0 {
+			return nil, nil, errors.New("sosrnet: UseCharPoly requires KnownDiff > 0")
+		}
+		bob := setutil.Canonical(local)
+		h := &helloMsg{Dataset: name, Kind: KindSet, Seed: cfg.Seed, D: cfg.KnownDiff, CharPoly: cfg.UseCharPoly}
+		pl := setrecon.Plan{D: cfg.KnownDiff, Estimate: cfg.KnownDiff <= 0, CharPoly: cfg.UseCharPoly}
+		res, ns, err := bobSession(c, ctx, h, sp, func(peer transport.Peer, _ *acceptMsg) (*setrecon.Result, int, error) {
+			res, err := setrecon.Bob(peer, hashing.NewCoins(cfg.Seed), bob, pl)
+			return res, 1, err
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		return &sosr.SetResult{Recovered: res.Recovered, OnlyA: res.OnlyA, OnlyB: res.OnlyB, Stats: ns.Protocol}, ns, nil
+	})
 }
 
 // Multiset reconciles a local multiset against the hosted multiset `name`
-// via the §3.4 packing; diffBound bounds the packed-set difference (pass 2×
-// the multiset edit distance), mirroring sosr.ReconcileMultisets. diffBound
-// ≤ 0 runs the estimator variant over the packed sets (a wire-only
-// extension; the in-process API requires a known bound).
+// via the §3.4 packing, mirroring sosr.ReconcileMultisets: diffBound bounds
+// the packed-set difference (pass 2× the multiset edit distance), and
+// diffBound ≤ 0 runs the estimator round first.
 func (c *Client) Multiset(ctx context.Context, name string, local []uint64, diffBound int, seed uint64) ([]uint64, *NetStats, error) {
-	sp := c.startSpan(ctx, name, KindMultiset)
-	rec, ns, err := c.multiset(ctx, name, local, diffBound, seed, sp)
-	err = ctxErr(ctx, err)
-	c.finishSpan(sp, ns, err)
-	return rec, ns, err
-}
-
-func (c *Client) multiset(ctx context.Context, name string, local []uint64, diffBound int, seed uint64, sp *obs.Span) ([]uint64, *NetStats, error) {
-	packed, err := setrecon.MultisetToSet(local)
-	if err != nil {
-		return nil, nil, err
-	}
-	ep, cleanup, err := c.session(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer cleanup()
-	if _, err = c.hello(ep, &helloMsg{Dataset: name, Kind: KindMultiset, Seed: seed, D: diffBound}, sp); err != nil {
-		return nil, nil, err
-	}
-	coins := hashing.NewCoins(seed)
-	if diffBound <= 0 {
-		// The server's unknown-d flow waits for the probe; packed multisets
-		// estimate exactly like plain sets.
-		if err := ep.SendFrame("estimator", setrecon.BuildDiffEstimator(coins, packed)); err != nil {
+	return traced(c, ctx, name, KindMultiset, func(sp *obs.Span) ([]uint64, *NetStats, error) {
+		packed, err := setrecon.MultisetToSet(local)
+		if err != nil {
 			return nil, nil, err
 		}
-	}
-	msg, err := recvOrServerError(ep, "iblt")
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := setrecon.ApplyIBLTMsg(coins, msg, packed)
-	if err != nil {
-		sendDone(ep, false, err, 1)
-		return nil, nil, err
-	}
-	sendDone(ep, true, nil, 1)
-	return setrecon.SetToMultiset(res.Recovered), netStats(ep, 1), nil
+		h := &helloMsg{Dataset: name, Kind: KindMultiset, Seed: seed, D: diffBound}
+		pl := setrecon.Plan{D: diffBound, Estimate: diffBound <= 0}
+		return bobSession(c, ctx, h, sp, func(peer transport.Peer, _ *acceptMsg) ([]uint64, int, error) {
+			res, err := setrecon.Bob(peer, hashing.NewCoins(seed), packed, pl)
+			if err != nil {
+				return nil, 0, err
+			}
+			return setrecon.SetToMultiset(res.Recovered), 1, nil
+		})
+	})
 }
 
 // SetsOfSets reconciles a local parent set against the hosted sets-of-sets
 // `name`, mirroring sosr.ReconcileSetsOfSets (all four protocol families,
 // known- and unknown-d variants). Cancelling ctx severs the session.
 func (c *Client) SetsOfSets(ctx context.Context, name string, local [][]uint64, cfg sosr.Config) (*sosr.Result, *NetStats, error) {
-	sp := c.startSpan(ctx, name, KindSetsOfSets)
-	res, ns, err := c.setsOfSets(ctx, name, local, cfg, sp)
-	err = ctxErr(ctx, err)
-	c.finishSpan(sp, ns, err)
-	return res, ns, err
-}
-
-func (c *Client) setsOfSets(ctx context.Context, name string, local [][]uint64, cfg sosr.Config, sp *obs.Span) (*sosr.Result, *NetStats, error) {
-	bob := make([][]uint64, len(local))
-	for i, cs := range local {
-		bob[i] = setutil.Canonical(cs)
-	}
-	ep, cleanup, err := c.session(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer cleanup()
-	acc, err := c.hello(ep, &helloMsg{
-		Dataset: name, Kind: KindSetsOfSets, Seed: cfg.Seed,
-		D: cfg.KnownDiff, Protocol: cfg.Protocol.String(), DHat: cfg.KnownChildDiff,
-		Replicas: cfg.Replicas, S: cfg.MaxChildSets, H: cfg.MaxChildSize, U: cfg.Universe,
-		CS: len(bob), CH: maxChildLen(bob), Validate: cfg.Validate,
-	}, sp)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := core.Params{S: acc.S, H: acc.H, U: acc.U}.Normalized()
-	if err != nil {
-		return nil, nil, err
-	}
-	if cfg.Validate {
-		if err := core.Validate(bob, p); err != nil {
-			sendDone(ep, false, err, 0)
+	return traced(c, ctx, name, KindSetsOfSets, func(sp *obs.Span) (*sosr.Result, *NetStats, error) {
+		bob := make([][]uint64, len(local))
+		for i, cs := range local {
+			bob[i] = setutil.Canonical(cs)
+		}
+		h := &helloMsg{
+			Dataset: name, Kind: KindSetsOfSets, Seed: cfg.Seed,
+			D: cfg.KnownDiff, Protocol: cfg.Protocol.String(), DHat: cfg.KnownChildDiff,
+			Replicas: cfg.Replicas, S: cfg.MaxChildSets, H: cfg.MaxChildSize, U: cfg.Universe,
+			CS: len(bob), CH: maxChildLen(bob), Validate: cfg.Validate,
+		}
+		var proto core.Protocol
+		res, ns, err := bobSession(c, ctx, h, sp, func(peer transport.Peer, acc *acceptMsg) (*core.Result, int, error) {
+			p, err := core.Params{S: acc.S, H: acc.H, U: acc.U}.Normalized()
+			if err != nil {
+				return nil, 0, err
+			}
+			if cfg.Validate {
+				if err := core.Validate(bob, p); err != nil {
+					return nil, 0, &transport.FailedError{Err: err}
+				}
+			}
+			var ok bool
+			if proto, ok = core.ParseProtocol(acc.Protocol); !ok || proto == core.ProtocolAuto {
+				return nil, 0, fmt.Errorf("%w: server resolved protocol %q", ErrUnsupported, acc.Protocol)
+			}
+			pl := core.Plan{Protocol: proto, P: p, D: acc.D, DHat: acc.DHat, Replicas: acc.Replicas}
+			ap := c.newSOSApply(name, bob, p)
+			ap.sp = sp
+			res, err := core.Bob(peer, hashing.NewCoins(cfg.Seed), bob, pl, core.BobOpts{Apply: ap.apply, Finished: ap.finished})
+			if err != nil {
+				return nil, 0, err
+			}
+			return res, res.Attempts, nil
+		})
+		if err != nil {
 			return nil, nil, err
 		}
-	}
-	proto, ok := core.ParseProtocol(acc.Protocol)
-	if !ok || proto == core.ProtocolAuto {
-		return nil, nil, fmt.Errorf("%w: server resolved protocol %q", ErrUnsupported, acc.Protocol)
-	}
-	pl := core.Plan{Protocol: proto, P: p, D: acc.D, DHat: acc.DHat, Replicas: acc.Replicas}
-	ap := c.newSOSApply(name, bob, p)
-	ap.sp = sp
-	res, err := core.Bob(serverPeer{ep}, hashing.NewCoins(cfg.Seed), bob, pl, core.BobOpts{Apply: ap.apply, Finished: ap.finished})
-	if err != nil {
-		// A failed decode is reported to the server; a broken link or a
-		// server error ends the session as it is.
-		var fe *core.FailedError
-		if errors.As(err, &fe) {
-			err = netErr(fe.Err)
-			sendDone(ep, false, err, fe.Attempts)
-		}
-		return nil, nil, err
-	}
-	sendDone(ep, true, nil, res.Attempts)
-	ns := netStats(ep, res.Attempts)
-	return &sosr.Result{
-		Recovered: res.Recovered,
-		Added:     res.Added,
-		Removed:   res.Removed,
-		Stats:     ns.Protocol,
-		Attempts:  res.Attempts,
-		Protocol:  sosr.Protocol(proto),
-	}, ns, nil
+		return &sosr.Result{
+			Recovered: res.Recovered,
+			Added:     res.Added,
+			Removed:   res.Removed,
+			Stats:     ns.Protocol,
+			Attempts:  res.Attempts,
+			Protocol:  sosr.Protocol(proto),
+		}, ns, nil
+	})
 }
 
 // Graph reconciles a local graph against the hosted graph `name`: the client
@@ -419,83 +373,41 @@ func (c *Client) setsOfSets(ctx context.Context, name string, local [][]uint64, 
 // sosr.ReconcileGraphs (degree-ordering and degree-neighborhood schemes).
 // Cancelling ctx severs the session.
 func (c *Client) Graph(ctx context.Context, name string, local sosr.Graph, cfg sosr.GraphConfig) (*sosr.GraphResult, *NetStats, error) {
-	sp := c.startSpan(ctx, name, KindGraph)
-	res, ns, err := c.graph(ctx, name, local, cfg, sp)
-	err = ctxErr(ctx, err)
-	c.finishSpan(sp, ns, err)
-	return res, ns, err
-}
-
-func (c *Client) graph(ctx context.Context, name string, local sosr.Graph, cfg sosr.GraphConfig, sp *obs.Span) (*sosr.GraphResult, *NetStats, error) {
-	gb := toGraph(local)
-	d := cfg.MaxEdits
-	if d < 1 {
-		d = 1
-	}
-	h := &helloMsg{Dataset: name, Kind: KindGraph, Seed: cfg.Seed, D: d, N: gb.N}
-	switch cfg.Scheme {
-	case sosr.SchemeDegreeOrdering:
-		if cfg.TopDegrees < 1 {
-			return nil, nil, errors.New("sosrnet: SchemeDegreeOrdering requires TopDegrees (h)")
+	return traced(c, ctx, name, KindGraph, func(sp *obs.Span) (*sosr.GraphResult, *NetStats, error) {
+		gb := toGraph(local)
+		pl := graphrecon.Plan{D: max(cfg.MaxEdits, 1)}
+		h := &helloMsg{Dataset: name, Kind: KindGraph, Seed: cfg.Seed, D: pl.D, N: gb.N}
+		var side *graphrecon.NbrSide
+		switch cfg.Scheme {
+		case sosr.SchemeDegreeOrdering:
+			if cfg.TopDegrees < 1 {
+				return nil, nil, errors.New("sosrnet: SchemeDegreeOrdering requires TopDegrees (h)")
+			}
+			pl.Scheme, pl.H = graphrecon.SchemeDegreeOrdering, cfg.TopDegrees
+			h.Scheme, h.TopH = "degree", cfg.TopDegrees
+		case sosr.SchemeDegreeNeighborhood:
+			if cfg.DegreeThreshold < 1 {
+				return nil, nil, errors.New("sosrnet: SchemeDegreeNeighborhood requires DegreeThreshold (m)")
+			}
+			var err error
+			if side, err = graphrecon.NeighborhoodEncode(gb, cfg.DegreeThreshold); err != nil {
+				return nil, nil, err
+			}
+			pl.Scheme, pl.M = graphrecon.SchemeNeighborhood, cfg.DegreeThreshold
+			h.Scheme, h.M, h.MaxSig = "neighborhood", cfg.DegreeThreshold, side.MaxSig
+		default:
+			return nil, nil, fmt.Errorf("%w: graph scheme %d has no wire protocol (use the in-process API)", ErrUnsupported, cfg.Scheme)
 		}
-		h.Scheme = "degree"
-		h.TopH = cfg.TopDegrees
-	case sosr.SchemeDegreeNeighborhood:
-		if cfg.DegreeThreshold < 1 {
-			return nil, nil, errors.New("sosrnet: SchemeDegreeNeighborhood requires DegreeThreshold (m)")
-		}
-		h.Scheme = "neighborhood"
-		h.M = cfg.DegreeThreshold
-	default:
-		return nil, nil, fmt.Errorf("%w: graph scheme %d has no wire protocol (use the in-process API)", ErrUnsupported, cfg.Scheme)
-	}
-	var side *graphrecon.NbrSide
-	if h.Scheme == "neighborhood" {
-		var err error
-		if side, err = graphrecon.NeighborhoodEncode(gb, cfg.DegreeThreshold); err != nil {
-			return nil, nil, err
-		}
-		h.MaxSig = side.MaxSig
-	}
-	ep, cleanup, err := c.session(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer cleanup()
-	acc, err := c.hello(ep, h, sp)
-	if err != nil {
-		return nil, nil, err
-	}
-	coins := hashing.NewCoins(cfg.Seed)
-	sig, err := recvOrServerError(ep, "cascade-iblts")
-	if err != nil {
-		return nil, nil, err
-	}
-	edges, err := recvOrServerError(ep, "edge-iblt")
-	if err != nil {
-		return nil, nil, err
-	}
-	var recovered *sosr.GraphResult
-	switch h.Scheme {
-	case "degree":
-		g, err := graphrecon.DegreeOrderApply(coins, gb, graphrecon.DegreeOrderParams{H: h.TopH, D: d}, sig, edges)
+		g, ns, err := bobSession(c, ctx, h, sp, func(peer transport.Peer, acc *acceptMsg) (*graph.Graph, int, error) {
+			pl.MaxSig = acc.MaxSig
+			g, err := graphrecon.Bob(peer, hashing.NewCoins(cfg.Seed), gb, side, pl)
+			return g, 1, err
+		})
 		if err != nil {
-			sendDone(ep, false, err, 1)
 			return nil, nil, err
 		}
-		recovered = &sosr.GraphResult{Recovered: fromGraph(g)}
-	case "neighborhood":
-		g, err := graphrecon.NeighborhoodApply(coins, gb, graphrecon.NeighborhoodParams{M: h.M, D: d}, side, acc.MaxSig, sig, edges)
-		if err != nil {
-			sendDone(ep, false, err, 1)
-			return nil, nil, err
-		}
-		recovered = &sosr.GraphResult{Recovered: fromGraph(g)}
-	}
-	sendDone(ep, true, nil, 1)
-	ns := netStats(ep, 1)
-	recovered.Stats = ns.Protocol
-	return recovered, ns, nil
+		return &sosr.GraphResult{Recovered: sosr.Graph{N: g.N, Edges: g.Edges()}, Stats: ns.Protocol}, ns, nil
+	})
 }
 
 // Forest reconciles a local rooted forest against the hosted forest `name`:
@@ -503,86 +415,28 @@ func (c *Client) graph(ctx context.Context, name string, local sosr.Graph, cfg s
 // sosr.ReconcileForests (known-budget and auto-doubling variants).
 // Cancelling ctx severs the session.
 func (c *Client) Forest(ctx context.Context, name string, local sosr.Forest, cfg sosr.ForestConfig) (*sosr.ForestResult, *NetStats, error) {
-	sp := c.startSpan(ctx, name, KindForest)
-	res, ns, err := c.forest(ctx, name, local, cfg, sp)
-	err = ctxErr(ctx, err)
-	c.finishSpan(sp, ns, err)
-	return res, ns, err
-}
-
-func (c *Client) forest(ctx context.Context, name string, local sosr.Forest, cfg sosr.ForestConfig, sp *obs.Span) (*sosr.ForestResult, *NetStats, error) {
-	fb := toForest(local)
-	if err := fb.Validate(); err != nil {
-		return nil, nil, err
-	}
-	info := forest.Measure(fb)
-	ep, cleanup, err := c.session(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer cleanup()
-	acc, err := c.hello(ep, &helloMsg{
-		Dataset: name, Kind: KindForest, Seed: cfg.Seed,
-		D: cfg.MaxEdits, Sigma: cfg.Depth,
-		N: info.N, Depth: info.Depth, MaxChild: info.MaxChild,
-	}, sp)
-	if err != nil {
-		return nil, nil, err
-	}
-	infoA := forest.SideInfo{N: acc.N, Depth: acc.Depth, MaxChild: acc.MaxChild}
-	coins := hashing.NewCoins(cfg.Seed)
-	// recvAttempt separates connection failures (commErr, which end the
-	// session) from reconciliation failures (applyErr, which drive the
-	// doubling retry loop).
-	recvAttempt := func(att hashing.Coins, rp forest.ReconParams, params core.Params) (rec *forest.Forest, applyErr, commErr error) {
-		sig, err := recvOrServerError(ep, "cascade-iblts")
+	return traced(c, ctx, name, KindForest, func(sp *obs.Span) (*sosr.ForestResult, *NetStats, error) {
+		fb := toForest(local)
+		if err := fb.Validate(); err != nil {
+			return nil, nil, err
+		}
+		info := forest.Measure(fb)
+		h := &helloMsg{
+			Dataset: name, Kind: KindForest, Seed: cfg.Seed,
+			D: cfg.MaxEdits, Sigma: cfg.Depth,
+			N: info.N, Depth: info.Depth, MaxChild: info.MaxChild,
+		}
+		rec, ns, err := bobSession(c, ctx, h, sp, func(peer transport.Peer, acc *acceptMsg) (*forest.Forest, int, error) {
+			return forest.Bob(peer, hashing.NewCoins(cfg.Seed), fb, forest.Session{
+				A:         forest.SideInfo{N: acc.N, Depth: acc.Depth, MaxChild: acc.MaxChild},
+				B:         info,
+				Req:       forest.ReconParams{Sigma: cfg.Depth, D: cfg.MaxEdits},
+				MaxBudget: acc.MaxBudget,
+			})
+		})
 		if err != nil {
 			return nil, nil, err
 		}
-		meta, err := recvOrServerError(ep, "forest-meta")
-		if err != nil {
-			return nil, nil, err
-		}
-		rec, applyErr = forest.Apply(att, fb, rp, params, sig, meta)
-		return rec, applyErr, nil
-	}
-	if cfg.MaxEdits > 0 {
-		rp, params := forest.Plan(infoA, info, forest.ReconParams{Sigma: cfg.Depth, D: cfg.MaxEdits})
-		rec, applyErr, commErr := recvAttempt(coins, rp, params)
-		if commErr != nil {
-			return nil, nil, commErr
-		}
-		if applyErr != nil {
-			sendDone(ep, false, applyErr, 1)
-			return nil, nil, applyErr
-		}
-		sendDone(ep, true, nil, 1)
-		ns := netStats(ep, 1)
 		return &sosr.ForestResult{Recovered: sosr.Forest{Parent: rec.Parent}, Stats: ns.Protocol}, ns, nil
-	}
-	var lastErr error
-	for budget, k := 16, 0; budget <= acc.MaxBudget; budget, k = budget*2, k+1 {
-		att := coins.Sub("forest-attempt", k)
-		rp, params := forest.Plan(infoA, info, forest.ReconParams{Sigma: 1, D: 1, Budget: budget})
-		rec, applyErr, commErr := recvAttempt(att, rp, params)
-		if commErr != nil {
-			if lastErr != nil {
-				return nil, nil, fmt.Errorf("%w (last attempt: %v)", commErr, lastErr)
-			}
-			return nil, nil, commErr
-		}
-		if applyErr == nil {
-			if err := ep.SendFrame("ack", []byte{1}); err != nil {
-				return nil, nil, err
-			}
-			sendDone(ep, true, nil, k+1)
-			ns := netStats(ep, k+1)
-			return &sosr.ForestResult{Recovered: sosr.Forest{Parent: rec.Parent}, Stats: ns.Protocol}, ns, nil
-		}
-		lastErr = applyErr
-		if err := ep.SendFrame("retry", []byte{0}); err != nil {
-			return nil, nil, err
-		}
-	}
-	return nil, nil, fmt.Errorf("%w: %v", ErrGaveUp, lastErr)
+	})
 }

@@ -198,6 +198,11 @@ func TestMultisetOverTCP(t *testing.T) {
 	if nsU.Protocol.Rounds != 2 || nsU.Protocol.BobBytes == 0 {
 		t.Fatalf("unknown-d flow did not run the estimator round: %+v", nsU.Protocol)
 	}
+	_, wantUStats, err := sosr.ReconcileMultisets(alice, bob, 0, 4)
+	if err != nil {
+		t.Fatalf("in-process unknown-d multiset: %v", err)
+	}
+	checkNetStats(t, nsU, wantUStats)
 }
 
 func sosPair() (alice, bob [][]uint64) {

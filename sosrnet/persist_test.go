@@ -35,7 +35,7 @@ func aliceProbe(t *testing.T, addr string, h helloMsg) (label string, payload []
 	if err := ep.SendFrame(lblHello, marshalCtl(&h)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := recvOrServerError(ep, lblAccept); err != nil {
+	if _, err := transport.Expect(serverPeer{ep}, lblAccept); err != nil {
 		t.Fatalf("probe %v: %v", h, err)
 	}
 	label, payload, err = ep.RecvFrame()

@@ -10,13 +10,16 @@
 // variant, seed, difference bounds, instance shape); the server answers
 // "ctl/accept" with the resolved parameters (or "ctl/error"); then the
 // protocol frames flow — byte for byte what the in-process transport
-// records. For sets of sets that holds by construction: the session's
-// control flow (replication, doubling, probe, rounds) is written once in
-// internal/core, whose Alice half the server runs and whose Bob half the
-// client runs; this package adds only the handshake, the encode and sketch
-// caches, instrumentation and ctl/done. The client closes with "ctl/done"
-// carrying its view of the session so the server can log both sides'
-// accounting.
+// records. That holds by construction: every session's control flow
+// (estimator rounds, replication, doubling, probes, rounds) is written once
+// as an Alice half and a Bob half in the engine packages (internal/setrecon
+// for sets and multisets, internal/core for sets of sets,
+// internal/graphrecon, internal/forest); the server runs Alice's half, the
+// client Bob's, and the in-process API runs both over a transport.Channel.
+// This package adds only the handshake, the hooks (encode and sketch caches,
+// caps on client-supplied bounds), instrumentation and ctl/done. The client
+// closes with "ctl/done" carrying its view of the session so the server can
+// log both sides' accounting.
 //
 // Framing (magic, version, label, length, checksum) lives in internal/wire;
 // control frames ("ctl/...") are excluded from protocol Stats and reported
@@ -32,6 +35,7 @@ import (
 	"strings"
 
 	"sosr/internal/core"
+	"sosr/internal/transport"
 	"sosr/internal/wire"
 )
 
@@ -52,7 +56,7 @@ const (
 	lblHello  = wire.CtlPrefix + "hello"
 	lblAccept = wire.CtlPrefix + "accept"
 	lblError  = wire.CtlPrefix + "error"
-	lblDone   = core.LabelDone
+	lblDone   = transport.LabelDone
 )
 
 // protoVersion is the handshake version; bumped on incompatible changes.
@@ -247,8 +251,8 @@ func serverError(payload []byte) error {
 	return fmt.Errorf("%w: %s", ErrServer, em.Error)
 }
 
-// serverPeer is the client's end of a sets-of-sets session: a ctl/error
-// frame from the server surfaces as the server's error.
+// serverPeer is the client's end of a session: a ctl/error frame from the
+// server surfaces as the server's error.
 type serverPeer struct{ *wire.Endpoint }
 
 func (p serverPeer) RecvFrame() (string, []byte, error) {
@@ -259,25 +263,12 @@ func (p serverPeer) RecvFrame() (string, []byte, error) {
 	return label, payload, err
 }
 
-// netErr re-labels a give-up from core's session halves with this package's
-// ErrGaveUp, keeping the cause text, so the error a peer reads over the
-// wire names the package that serves it.
+// netErr re-labels a give-up from the engines' session halves (core.ErrGaveUp)
+// with this package's ErrGaveUp, keeping the cause text, so the error a peer
+// reads over the wire names the package that serves it.
 func netErr(err error) error {
 	if rest, ok := strings.CutPrefix(err.Error(), core.ErrGaveUp.Error()); ok {
 		return fmt.Errorf("%w%s", ErrGaveUp, rest)
 	}
 	return err
-}
-
-// recvOrServerError reads the next frame, converting a ctl/error frame into
-// the server's error and enforcing the expected label otherwise.
-func recvOrServerError(ep *wire.Endpoint, label string) ([]byte, error) {
-	got, payload, err := serverPeer{ep}.RecvFrame()
-	if err != nil {
-		return nil, err
-	}
-	if got != label {
-		return nil, fmt.Errorf("sosrnet: expected frame %q, got %q", label, got)
-	}
-	return payload, nil
 }

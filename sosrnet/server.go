@@ -727,21 +727,7 @@ func (s *Server) handle(conn net.Conn) {
 	coins := hashing.NewCoins(h.Seed)
 	serveStart := time.Now()
 	stc.stage = sp.Child("transfer")
-	var done *doneMsg
-	proto, detail := "unknown", ""
-	switch h.Kind {
-	case KindSet, KindMultiset:
-		done, proto, detail, err = s.serveSet(ep, coins, view, &h, stc)
-	case KindSetsOfSets:
-		done, proto, detail, err = s.serveSOS(ep, coins, view, &h, stc)
-	case KindGraph:
-		done, proto, detail, err = s.serveGraph(ep, coins, view, &h, stc)
-	case KindForest:
-		done, proto, detail, err = s.serveForest(ep, coins, view, &h, stc)
-	default:
-		err = fmt.Errorf("%w: kind %q", ErrUnsupported, h.Kind)
-		sendErrorFrame(ep, err)
-	}
+	done, proto, detail, err := s.serve(ep, coins, view, &h, stc)
 	stc.stage.Fail(err)
 	stc.stage.Finish()
 	m.stageTransfer.Observe(time.Since(serveStart).Seconds())
@@ -830,21 +816,6 @@ func (s *Server) handle(conn net.Conn) {
 	s.logger().Info("session finished", args...)
 }
 
-// accept sends the resolved parameters.
-func (s *Server) accept(ep *wire.Endpoint, acc *acceptMsg) error {
-	acc.V = protoVersion
-	return ep.SendFrame(lblAccept, marshalCtl(acc))
-}
-
-// recvDone consumes the client's closing report.
-func recvDone(ep *wire.Endpoint) (*doneMsg, error) {
-	payload, err := ep.RecvExpect(lblDone)
-	if err != nil {
-		return nil, err
-	}
-	return parseDone(payload)
-}
-
 // parseDone decodes an already-received done payload.
 func parseDone(payload []byte) (*doneMsg, error) {
 	var d doneMsg
@@ -854,80 +825,92 @@ func parseDone(payload []byte) (*doneMsg, error) {
 	return &d, nil
 }
 
-// ---- set / multiset ----
+// aliceRun is one kind's Alice side once the hello is resolved: the protocol
+// label and log detail, the accept to send, and the engine's Alice half with
+// this server's hooks.
+type aliceRun struct {
+	proto, detail string
+	acc           *acceptMsg
+	run           func(peer transport.Peer) ([]byte, error)
+}
 
-func (s *Server) serveSet(ep *wire.Endpoint, coins hashing.Coins, view dsView, h *helloMsg, tr *sessTrace) (*doneMsg, string, string, error) {
+// serve plays Alice for one session: it resolves the kind's plan from the
+// hello (a rejection is answered with ctl/error), accepts with the resolved
+// parameters, runs the engine half and parses the client's closing report.
+func (s *Server) serve(ep *wire.Endpoint, coins hashing.Coins, view dsView, h *helloMsg, tr *sessTrace) (*doneMsg, string, string, error) {
+	var a *aliceRun
+	var err error
+	switch h.Kind {
+	case KindSet, KindMultiset:
+		a, err = s.setAlice(coins, view, h, tr)
+	case KindSetsOfSets:
+		a, err = s.sosAlice(coins, view, h, tr)
+	case KindGraph:
+		a, err = s.graphAlice(coins, view, h, tr)
+	case KindForest:
+		a, err = s.forestAlice(coins, view, h, tr)
+	default:
+		a, err = &aliceRun{proto: "unknown"}, fmt.Errorf("%w: kind %q", ErrUnsupported, h.Kind)
+	}
+	if err != nil {
+		sendErrorFrame(ep, err)
+		return nil, a.proto, a.detail, err
+	}
+	a.acc.V = protoVersion
+	if err := ep.SendFrame(lblAccept, marshalCtl(a.acc)); err != nil {
+		return nil, a.proto, a.detail, err
+	}
+	payload, err := a.run(ep)
+	if err != nil {
+		err = netErr(err)
+		sendErrorFrame(ep, err)
+		return nil, a.proto, a.detail, err
+	}
+	done, err := parseDone(payload)
+	return done, a.proto, a.detail, err
+}
+
+func (s *Server) setAlice(coins hashing.Coins, view dsView, h *helloMsg, tr *sessTrace) (*aliceRun, error) {
 	alice := view.set
-	variant := "iblt"
-	detail := fmt.Sprintf("d=%d", h.D)
+	pl := setrecon.Plan{D: h.D, Estimate: h.D <= 0, CharPoly: h.CharPoly}
+	a := &aliceRun{proto: "iblt", detail: fmt.Sprintf("d=%d", h.D), acc: &acceptMsg{Kind: h.Kind, D: h.D}}
 	tr.bounds(h.D, h.D)
+	// Set IBLTs are keyed by seed; EncodeCharPoly is seed-independent, so it
+	// is memoized on (dataset, d) only.
+	key, seed := "set-iblt", coins.Master()
 	switch {
-	case h.CharPoly:
-		variant = "charpoly"
+	case pl.CharPoly:
+		a.proto, key, seed, pl.Estimate = "charpoly", "charpoly", 0, false
 		if h.D <= 0 {
-			err := errors.New("charpoly requires a positive difference bound")
-			sendErrorFrame(ep, err)
-			return nil, variant, detail, err
+			return a, errors.New("charpoly requires a positive difference bound")
 		}
 		// Encoding costs O(n·d) field evaluations before any byte is sent;
 		// bound the work by the hosted set, not just MaxBound — a difference
 		// beyond this is cheaper over the IBLT path anyway.
 		if limit := 4*len(alice) + 1024; h.D > limit {
-			err := fmt.Errorf("%w: charpoly bound %d exceeds work limit %d for this dataset (use the IBLT variant)", ErrUnsupported, h.D, limit)
-			sendErrorFrame(ep, err)
-			return nil, variant, detail, err
+			return a, fmt.Errorf("%w: charpoly bound %d exceeds work limit %d for this dataset (use the IBLT variant)", ErrUnsupported, h.D, limit)
 		}
-	case h.D <= 0:
-		variant = "iblt-unknown"
+	case pl.Estimate:
+		a.proto = "iblt-unknown"
 	}
-	if err := s.accept(ep, &acceptMsg{Kind: h.Kind, D: h.D}); err != nil {
-		return nil, variant, detail, err
+	a.run = func(peer transport.Peer) ([]byte, error) {
+		return setrecon.Alice(peer, coins, alice, pl, setrecon.AliceOpts{
+			Msg: func(d int) []byte {
+				return s.cachedMsg(view, key, seed, d, tr, func() []byte { return pl.AliceMsg(coins, alice, d) })
+			},
+			Estimated: func(start time.Time, d int, err error) {
+				esp := tr.stage.ChildAt("estimate", start)
+				esp.SetInt("d", int64(d))
+				esp.Fail(err)
+				esp.Finish()
+				if err == nil {
+					tr.bounds(d, d)
+				}
+			},
+		})
 	}
-	switch variant {
-	case "charpoly":
-		// EncodeCharPoly is seed-independent: memoize on (dataset, d) only.
-		body := s.cachedMsg(view, "charpoly", 0, h.D, tr, func() []byte {
-			return setrecon.EncodeCharPoly(alice, h.D+1)
-		})
-		if err := ep.SendFrame("charpoly", body); err != nil {
-			return nil, variant, detail, err
-		}
-	case "iblt-unknown":
-		esp := tr.child("estimate")
-		probe, err := ep.RecvExpect("estimator")
-		if err != nil {
-			esp.Fail(err)
-			esp.Finish()
-			return nil, variant, detail, err
-		}
-		d, err := setrecon.DiffBoundFromEstimator(coins, probe, alice)
-		esp.SetInt("d", int64(d))
-		esp.Fail(err)
-		esp.Finish()
-		if err != nil {
-			sendErrorFrame(ep, err)
-			return nil, variant, detail, err
-		}
-		tr.bounds(d, d)
-		body := s.cachedMsg(view, "set-iblt", coins.Master(), d, tr, func() []byte {
-			return setrecon.BuildIBLTMsg(coins, alice, d)
-		})
-		if err := ep.SendFrame("iblt", body); err != nil {
-			return nil, variant, detail, err
-		}
-	default:
-		body := s.cachedMsg(view, "set-iblt", coins.Master(), h.D, tr, func() []byte {
-			return setrecon.BuildIBLTMsg(coins, alice, h.D)
-		})
-		if err := ep.SendFrame("iblt", body); err != nil {
-			return nil, variant, detail, err
-		}
-	}
-	done, err := recvDone(ep)
-	return done, variant, detail, err
+	return a, nil
 }
-
-// ---- sets of sets ----
 
 // resolveSOS fixes the session plan for a hello, by the rules the
 // in-process API applies to a sosr.Config.
@@ -941,245 +924,153 @@ func resolveSOS(h *helloMsg, alice [][]uint64) (core.Plan, error) {
 	}, max(len(alice), h.CS), max(maxChildLen(alice), h.CH))
 }
 
-// serveSOS plays Alice through core's session half. The hooks keep the
-// encode cache, live digests and stage spans here; the control flow is
-// core's.
-func (s *Server) serveSOS(ep *wire.Endpoint, coins hashing.Coins, view dsView, h *helloMsg, tr *sessTrace) (*doneMsg, string, string, error) {
+func (s *Server) sosAlice(coins hashing.Coins, view dsView, h *helloMsg, tr *sessTrace) (*aliceRun, error) {
 	alice := view.sos
 	pl, err := resolveSOS(h, alice)
 	if err != nil {
-		sendErrorFrame(ep, err)
 		// The client-supplied protocol name did not resolve; a fixed label
 		// keeps hostile hellos from minting unbounded metric series.
-		return nil, "invalid", "", err
+		return &aliceRun{proto: "invalid"}, err
 	}
-	proto := pl.Protocol.String()
+	a := &aliceRun{
+		proto:  pl.Protocol.String(),
+		detail: fmt.Sprintf("d=%d d̂=%d s=%d h=%d", pl.D, pl.DHat, pl.P.S, pl.P.H),
+		acc: &acceptMsg{
+			Kind: KindSetsOfSets, Protocol: pl.Protocol.String(), D: pl.D, DHat: pl.DHat,
+			Replicas: pl.Replicas, S: pl.P.S, H: pl.P.H, U: pl.P.U,
+		},
+	}
 	tr.bounds(pl.D, pl.DHat)
-	detail := fmt.Sprintf("d=%d d̂=%d s=%d h=%d", pl.D, pl.DHat, pl.P.S, pl.P.H)
 	if h.Validate {
 		if err := core.Validate(alice, pl.P); err != nil {
-			sendErrorFrame(ep, err)
-			return nil, proto, detail, err
+			return a, err
 		}
 	}
-	acc := &acceptMsg{
-		Kind: KindSetsOfSets, Protocol: proto, D: pl.D, DHat: pl.DHat,
-		Replicas: pl.Replicas, S: pl.P.S, H: pl.P.H, U: pl.P.U,
+	a.run = func(peer transport.Peer) ([]byte, error) {
+		return core.Alice(peer, coins, alice, pl, core.AliceOpts{
+			Msg: func(kind core.DigestKind, c hashing.Coins, d, dHat int) ([]byte, error) {
+				return s.sosAliceMsg(view, kind, c, pl.P, d, dHat, tr)
+			},
+			Round1: func(c hashing.Coins, dHat int) []byte {
+				return s.cachedMsg(view, "mr1", c.Master(), dHat, tr, func() []byte {
+					return core.MRAlice1(c, alice, dHat)
+				})
+			},
+			Bounds: tr.bounds,
+			Probed: func(start time.Time, dHat int, err error) {
+				esp := tr.stage.ChildAt("estimate", start)
+				esp.SetInt("dhat", int64(dHat))
+				esp.Fail(err)
+				esp.Finish()
+			},
+			// Endless client retries must not inflate allocations past the cap.
+			MaxD: s.maxBound(),
+		})
 	}
-	if err := s.accept(ep, acc); err != nil {
-		return nil, proto, detail, err
-	}
-	done, err := core.Alice(ep, coins, alice, pl, core.AliceOpts{
-		Msg: func(kind core.DigestKind, c hashing.Coins, d, dHat int) ([]byte, error) {
-			return s.sosAliceMsg(view, kind, c, pl.P, d, dHat, tr)
-		},
-		Round1: func(c hashing.Coins, dHat int) []byte {
-			return s.cachedMsg(view, "mr1", c.Master(), dHat, tr, func() []byte {
-				return core.MRAlice1(c, alice, dHat)
-			})
-		},
-		Bounds: tr.bounds,
-		Probed: func(start time.Time, dHat int, err error) {
-			esp := tr.stage.ChildAt("estimate", start)
-			esp.SetInt("dhat", int64(dHat))
-			esp.Fail(err)
-			esp.Finish()
-		},
-		// Endless client retries must not inflate allocations past the cap.
-		MaxD: s.maxBound(),
-	})
-	if err != nil {
-		err = netErr(err)
-		sendErrorFrame(ep, err)
-		return nil, proto, detail, err
-	}
-	d, err := parseDone(done)
-	return d, proto, detail, err
+	return a, nil
 }
 
-// ---- graph ----
-
-func (s *Server) serveGraph(ep *wire.Endpoint, coins hashing.Coins, view dsView, h *helloMsg, tr *sessTrace) (*doneMsg, string, string, error) {
+func (s *Server) graphAlice(coins hashing.Coins, view dsView, h *helloMsg, tr *sessTrace) (*aliceRun, error) {
 	ga := view.g
+	pl := graphrecon.Plan{D: max(h.D, 1), H: h.TopH, M: h.M, SigBudget: h.SigBudget}
 	// The scheme is the protocol label; anything unresolved maps to a fixed
 	// label so hostile hellos cannot mint unbounded metric series.
-	proto := "invalid"
+	a := &aliceRun{proto: "invalid", detail: fmt.Sprintf("d=%d", h.D), acc: &acceptMsg{Kind: KindGraph, D: pl.D}}
 	switch h.Scheme {
 	case "degree", "neighborhood":
-		proto = h.Scheme
+		a.proto = h.Scheme
 	}
-	detail := fmt.Sprintf("d=%d", h.D)
 	if h.N != ga.N {
-		err := fmt.Errorf("vertex count mismatch: client %d, dataset %d", h.N, ga.N)
-		sendErrorFrame(ep, err)
-		return nil, proto, detail, err
+		return a, fmt.Errorf("vertex count mismatch: client %d, dataset %d", h.N, ga.N)
 	}
-	d := h.D
-	if d < 1 {
-		d = 1
-	}
-	tr.bounds(d, d)
+	tr.bounds(pl.D, pl.D)
+	var side *graphrecon.NbrSide
+	key, extra := "graph-degree", fmt.Sprintf("h=%d", h.TopH)
 	switch h.Scheme {
 	case "degree":
-		// Both frames come from one encode pass; memoize them together.
-		frames, err := s.cachedFrames(view, "graph-degree", coins.Master(), d,
-			fmt.Sprintf("h=%d", h.TopH), tr, func() ([][]byte, error) {
-				msgs, err := graphrecon.DegreeOrderAlice(coins, ga, graphrecon.DegreeOrderParams{H: h.TopH, D: d})
-				if err != nil {
-					return nil, err
-				}
-				return [][]byte{msgs.Sig, msgs.Edges}, nil
-			})
-		if err != nil {
-			sendErrorFrame(ep, err)
-			return nil, proto, detail, err
-		}
-		if err := s.accept(ep, &acceptMsg{Kind: KindGraph, D: d}); err != nil {
-			return nil, proto, detail, err
-		}
-		if err := ep.SendFrame("cascade-iblts", frames[0]); err != nil {
-			return nil, proto, detail, err
-		}
-		if err := ep.SendFrame("edge-iblt", frames[1]); err != nil {
-			return nil, proto, detail, err
-		}
+		pl.Scheme = graphrecon.SchemeDegreeOrdering
 	case "neighborhood":
 		// The side encoding fixes maxSig (part of the accept message and the
 		// cache key), so it runs uncached; the expensive IBLT frames behind
 		// it are memoized.
-		sideA, err := graphrecon.NeighborhoodEncode(ga, h.M)
-		if err != nil {
-			sendErrorFrame(ep, err)
-			return nil, proto, detail, err
+		var err error
+		if side, err = graphrecon.NeighborhoodEncode(ga, h.M); err != nil {
+			return a, err
 		}
-		maxSig := max(sideA.MaxSig, h.MaxSig, 1)
-		p := graphrecon.NeighborhoodParams{M: h.M, D: d, SigBudget: h.SigBudget}
-		if budget := graphrecon.NeighborhoodBudget(p); budget > s.maxBound() {
-			err := fmt.Errorf("%w: signature budget %d exceeds server bound %d", ErrUnsupported, budget, s.maxBound())
-			sendErrorFrame(ep, err)
-			return nil, proto, detail, err
+		pl.Scheme, pl.MaxSig = graphrecon.SchemeNeighborhood, max(side.MaxSig, h.MaxSig, 1)
+		if budget := graphrecon.NeighborhoodBudget(graphrecon.NeighborhoodParams{M: h.M, D: pl.D, SigBudget: h.SigBudget}); budget > s.maxBound() {
+			return a, fmt.Errorf("%w: signature budget %d exceeds server bound %d", ErrUnsupported, budget, s.maxBound())
 		}
-		frames, err := s.cachedFrames(view, "graph-nbr", coins.Master(), d,
-			fmt.Sprintf("m=%d,sig=%d,budget=%d", h.M, maxSig, h.SigBudget), tr, func() ([][]byte, error) {
-				msgs, err := graphrecon.NeighborhoodAlice(coins, ga, p, sideA, maxSig)
-				if err != nil {
-					return nil, err
-				}
-				return [][]byte{msgs.Sig, msgs.Edges}, nil
-			})
-		if err != nil {
-			sendErrorFrame(ep, err)
-			return nil, proto, detail, err
-		}
-		if err := s.accept(ep, &acceptMsg{Kind: KindGraph, D: d, MaxSig: maxSig}); err != nil {
-			return nil, proto, detail, err
-		}
-		if err := ep.SendFrame("cascade-iblts", frames[0]); err != nil {
-			return nil, proto, detail, err
-		}
-		if err := ep.SendFrame("edge-iblt", frames[1]); err != nil {
-			return nil, proto, detail, err
-		}
+		key, extra = "graph-nbr", fmt.Sprintf("m=%d,sig=%d,budget=%d", h.M, pl.MaxSig, h.SigBudget)
+		a.acc.MaxSig = pl.MaxSig
 	default:
-		err := fmt.Errorf("%w: graph scheme %q", ErrUnsupported, h.Scheme)
-		sendErrorFrame(ep, err)
-		return nil, proto, detail, err
+		return a, fmt.Errorf("%w: graph scheme %q", ErrUnsupported, h.Scheme)
 	}
-	done, err := recvDone(ep)
-	return done, proto, detail, err
+	// Both frames come from one encode pass; they are memoized together and
+	// built before the accept, so a graph that cannot be encoded is refused.
+	frames, err := s.cachedFrames(view, key, coins.Master(), pl.D, extra, tr, func() ([][]byte, error) {
+		msgs, err := pl.AliceMsgs(coins, ga, side)
+		if err != nil {
+			return nil, err
+		}
+		return [][]byte{msgs.Sig, msgs.Edges}, nil
+	})
+	if err != nil {
+		return a, err
+	}
+	a.run = func(peer transport.Peer) ([]byte, error) {
+		return graphrecon.Alice(peer, &graphrecon.GraphMsgs{Sig: frames[0], Edges: frames[1]})
+	}
+	return a, nil
 }
 
-// ---- forest ----
-
-func (s *Server) serveForest(ep *wire.Endpoint, coins hashing.Coins, ds dsView, h *helloMsg, tr *sessTrace) (*doneMsg, string, string, error) {
-	const proto = "forest"
+func (s *Server) forestAlice(coins hashing.Coins, view dsView, h *helloMsg, tr *sessTrace) (*aliceRun, error) {
 	infoB := forest.SideInfo{N: h.N, Depth: h.Depth, MaxChild: h.MaxChild}
 	maxBudget := h.MaxBudget
 	if maxBudget <= 0 || maxBudget > s.maxBound() {
 		maxBudget = min(1<<20, s.maxBound())
 	}
-	detail := fmt.Sprintf("d=%d sigma=%d", h.D, h.Sigma)
-	acc := &acceptMsg{
-		Kind: KindForest, D: h.D,
-		N: ds.fi.N, Depth: ds.fi.Depth, MaxChild: ds.fi.MaxChild, MaxBudget: maxBudget,
+	fs := forest.Session{
+		A: view.fi, B: infoB, MaxBudget: maxBudget,
+		Req: forest.ReconParams{Sigma: h.Sigma, D: h.D, Budget: h.Budget},
 	}
-	if err := s.accept(ep, acc); err != nil {
-		return nil, proto, detail, err
+	key := "forest"
+	if h.D <= 0 {
+		key = "forest-auto"
 	}
-	// The forest plan — and therefore the payload — depends on the client's
-	// side info, which has no dedicated cache-key field; it rides in Extra.
-	planExtra := func(sigma, budget int) string {
-		return fmt.Sprintf("n=%d,dep=%d,mc=%d,sigma=%d,budget=%d", infoB.N, infoB.Depth, infoB.MaxChild, sigma, budget)
+	a := &aliceRun{
+		proto: "forest", detail: fmt.Sprintf("d=%d sigma=%d", h.D, h.Sigma),
+		acc: &acceptMsg{
+			Kind: KindForest, D: h.D,
+			N: view.fi.N, Depth: view.fi.Depth, MaxChild: view.fi.MaxChild, MaxBudget: maxBudget,
+		},
 	}
-	if h.D > 0 {
-		tr.bounds(h.D, h.D)
-		rp, params := forest.Plan(ds.fi, infoB, forest.ReconParams{Sigma: h.Sigma, D: h.D, Budget: h.Budget})
-		if rp.Budget > s.maxBound() {
-			err := fmt.Errorf("%w: forest budget %d exceeds server bound %d", ErrUnsupported, rp.Budget, s.maxBound())
-			sendErrorFrame(ep, err)
-			return nil, proto, detail, err
-		}
-		frames, err := s.cachedFrames(ds, "forest", coins.Master(), h.D,
-			planExtra(h.Sigma, h.Budget), tr, func() ([][]byte, error) {
-				sig, meta, err := forest.AliceMsg(coins, ds.f, rp, params)
-				if err != nil {
-					return nil, err
+	a.run = func(peer transport.Peer) ([]byte, error) {
+		return forest.Alice(peer, coins, view.f, fs, forest.AliceOpts{
+			Frames: func(c hashing.Coins, req, rp forest.ReconParams, params core.Params) ([]byte, []byte, error) {
+				if rp.Budget > s.maxBound() {
+					return nil, nil, fmt.Errorf("%w: forest budget %d exceeds server bound %d", ErrUnsupported, rp.Budget, s.maxBound())
 				}
-				return [][]byte{sig, meta}, nil
-			})
-		if err != nil {
-			sendErrorFrame(ep, err)
-			return nil, proto, detail, err
-		}
-		if err := ep.SendFrame("cascade-iblts", frames[0]); err != nil {
-			return nil, proto, detail, err
-		}
-		if err := ep.SendFrame("forest-meta", frames[1]); err != nil {
-			return nil, proto, detail, err
-		}
-		done, err := recvDone(ep)
-		return done, proto, detail, err
-	}
-	// Auto: verified doubling over the budget (Corollary 3.8 applied to
-	// forests), with per-attempt coins and protocol ack/retry frames.
-	for budget, k := 16, 0; budget <= maxBudget; budget, k = budget*2, k+1 {
-		att := coins.Sub("forest-attempt", k)
-		rp, params := forest.Plan(ds.fi, infoB, forest.ReconParams{Sigma: 1, D: 1, Budget: budget})
-		tr.bounds(1, budget)
-		frames, err := s.cachedFrames(ds, "forest-auto", att.Master(), 1,
-			planExtra(1, budget), tr, func() ([][]byte, error) {
-				sig, meta, err := forest.AliceMsg(att, ds.f, rp, params)
+				// The plan — and therefore the payload — depends on the
+				// client's side info, which has no dedicated cache-key field;
+				// it rides in Extra.
+				extra := fmt.Sprintf("n=%d,dep=%d,mc=%d,sigma=%d,budget=%d", infoB.N, infoB.Depth, infoB.MaxChild, req.Sigma, req.Budget)
+				frames, err := s.cachedFrames(view, key, c.Master(), req.D, extra, tr, func() ([][]byte, error) {
+					sig, meta, err := forest.AliceMsg(c, view.f, rp, params)
+					if err != nil {
+						return nil, err
+					}
+					return [][]byte{sig, meta}, nil
+				})
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
-				return [][]byte{sig, meta}, nil
-			})
-		if err != nil {
-			sendErrorFrame(ep, err)
-			return nil, proto, detail, err
-		}
-		if err := ep.SendFrame("cascade-iblts", frames[0]); err != nil {
-			return nil, proto, detail, err
-		}
-		if err := ep.SendFrame("forest-meta", frames[1]); err != nil {
-			return nil, proto, detail, err
-		}
-		got, _, err := ep.RecvFrame()
-		if err != nil {
-			return nil, proto, detail, err
-		}
-		switch got {
-		case "ack":
-			done, err := recvDone(ep)
-			return done, proto, detail, err
-		case "retry":
-		default:
-			return nil, proto, detail, fmt.Errorf("sosrnet: unexpected frame %q", got)
-		}
+				return frames[0], frames[1], nil
+			},
+			Bounds: tr.bounds,
+		})
 	}
-	err := fmt.Errorf("%w: forest budget exceeded %d", ErrGaveUp, maxBudget)
-	sendErrorFrame(ep, err)
-	return nil, proto, detail, err
+	return a, nil
 }
 
 // ---- helpers ----
@@ -1204,10 +1095,6 @@ func toGraph(g sosr.Graph) *graph.Graph {
 		}
 	}
 	return out
-}
-
-func fromGraph(g *graph.Graph) sosr.Graph {
-	return sosr.Graph{N: g.N, Edges: g.Edges()}
 }
 
 func toForest(f sosr.Forest) *forest.Forest {
